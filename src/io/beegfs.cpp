@@ -112,6 +112,8 @@ void BeeGfs::write(pmpi::Env& env, const File& f, std::size_t offset,
   writeAsync(env.node().id, f.path(), offset,
              std::vector<std::byte>(data.begin(), data.end()),
              [&finished, &engine, &proc] {
+               // A dead rank's stack is recycled: never touch `finished`.
+               if (!proc.live()) return;
                finished = true;
                engine.wake(proc);
              });
@@ -150,6 +152,8 @@ std::size_t BeeGfs::read(pmpi::Env& env, const File& f, std::size_t offset,
                      fabric_.sendReliable(machine_.endpointOfNode(target), me,
                                   static_cast<double>(chunk),
                                   [&outstanding, &engine, &proc] {
+                                    // Dead rank: its stack is recycled.
+                                    if (!proc.live()) return;
                                     if (--outstanding == 0) engine.wake(proc);
                                   });
                    });

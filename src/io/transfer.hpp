@@ -13,7 +13,8 @@ namespace cbsim::io {
 /// Moves `bytes` from endpoint `srcEp` to `dstEp` and blocks the calling
 /// rank until delivery.  Uses the fabric's reliable-connection send so a
 /// fault-plan loss retries at the NIC instead of suspending the rank
-/// forever; waking a rank that died while waiting is a safe no-op.
+/// forever.  A rank that died while waiting is skipped: reap recycled its
+/// stack at once, so `done` may now lie in another rank's frames.
 inline void awaitTransfer(pmpi::Env& env, extoll::Fabric& fabric, int srcEp,
                           int dstEp, double bytes) {
   bool done = false;
@@ -21,6 +22,7 @@ inline void awaitTransfer(pmpi::Env& env, extoll::Fabric& fabric, int srcEp,
   sim::Process& proc = env.ctx().process();
   const double t0 = env.wtime();
   fabric.sendReliable(srcEp, dstEp, bytes, [&done, &engine, &proc] {
+    if (!proc.live()) return;
     done = true;
     engine.wake(proc);
   });

@@ -2,14 +2,15 @@
 
 // Arena storage for the pmpi message engine's per-operation state.
 //
-// RequestPool — generation-checked free-list slab behind the Request
-// handle (types.hpp).  Replaces one shared_ptr<RequestState> heap
-// allocation (plus control block) per nonblocking operation with slot
-// recycling: steady state allocates nothing, and the pool's footprint is
-// the high-water mark of concurrently live operations, not the operation
-// count.  Live requests are threaded on an intrusive per-owner list so a
-// dying rank's slots are reclaimed in O(live-on-that-rank), never by
-// scanning the pool.
+// RequestPool — generation-checked free list over a std::deque of slots
+// behind the Request handle (types.hpp).  Replaces one
+// shared_ptr<RequestState> heap allocation (plus control block) per
+// nonblocking operation with slot recycling: steady state allocates
+// nothing, a slot's address survives growth (deque), and the pool's
+// footprint is the high-water mark of concurrently live operations, not
+// the operation count.  Live requests are threaded on an intrusive
+// per-owner list so a dying rank's slots are reclaimed in
+// O(live-on-that-rank), never by scanning the pool.
 //
 // PayloadArena — per-destination-rank storage for in-flight eager
 // payloads.  A payload is copied in at send time and referenced by
@@ -21,7 +22,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <stdexcept>
 #include <vector>
 
@@ -61,21 +62,19 @@ class RequestPool {
     std::uint32_t idx;
     if (freeHead_ != kNone) {
       idx = freeHead_;
-      freeHead_ = slot(idx).nextOwned;  // free list reuses the link field
+      freeHead_ = slots_[idx].nextOwned;  // free list reuses the link field
     } else {
-      if (size_ == chunks_.size() * kChunk) {
-        chunks_.push_back(std::make_unique<RequestState[]>(kChunk));
-      }
-      idx = static_cast<std::uint32_t>(size_++);
+      idx = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
     }
-    RequestState& s = slot(idx);
+    RequestState& s = slots_[idx];
     const std::uint32_t gen = s.gen;
     s = RequestState{};  // reset operation fields
     s.gen = gen;
     s.ownerProc = ownerProc;
     s.prevOwned = kNone;
     s.nextOwned = ownerHead;
-    if (ownerHead != kNone) slot(ownerHead).prevOwned = idx;
+    if (ownerHead != kNone) slots_[ownerHead].prevOwned = idx;
     ownerHead = idx;
     ++live_;
     return Request{idx, gen};
@@ -84,8 +83,8 @@ class RequestPool {
   /// Live state behind `h`, or nullptr for a null or stale (already
   /// released) handle.
   [[nodiscard]] RequestState* find(Request h) {
-    if (!h.valid() || h.idx >= size_) return nullptr;
-    RequestState& s = slot(h.idx);
+    if (!h.valid() || h.idx >= slots_.size()) return nullptr;
+    RequestState& s = slots_[h.idx];
     return s.gen == h.gen ? &s : nullptr;
   }
   [[nodiscard]] const RequestState* find(Request h) const {
@@ -109,11 +108,11 @@ class RequestPool {
     RequestState* s = find(h);
     if (s == nullptr) return;
     if (s->prevOwned != kNone) {
-      slot(s->prevOwned).nextOwned = s->nextOwned;
+      slots_[s->prevOwned].nextOwned = s->nextOwned;
     } else {
       ownerHead = s->nextOwned;
     }
-    if (s->nextOwned != kNone) slot(s->nextOwned).prevOwned = s->prevOwned;
+    if (s->nextOwned != kNone) slots_[s->nextOwned].prevOwned = s->prevOwned;
     if (++s->gen == 0) s->gen = 1;  // 0 is the null-handle generation
     s->recvBuf = Bytes{};
     s->sendBuf = ConstBytes{};
@@ -125,26 +124,19 @@ class RequestPool {
   /// Releases every slot on an owner list (rank drain).
   void releaseAll(std::uint32_t& ownerHead) {
     while (ownerHead != kNone) {
-      release(Request{ownerHead, slot(ownerHead).gen}, ownerHead);
+      release(Request{ownerHead, slots_[ownerHead].gen}, ownerHead);
     }
   }
 
-  [[nodiscard]] std::size_t slotCount() const { return size_; }
+  [[nodiscard]] std::size_t slotCount() const { return slots_.size(); }
   [[nodiscard]] std::size_t liveCount() const { return live_; }
-  /// Bytes reserved for slot storage (the pool's high-water footprint).
+  /// Bytes of slot storage (the pool's high-water footprint).
   [[nodiscard]] std::size_t capacityBytes() const {
-    return chunks_.size() * kChunk * sizeof(RequestState);
+    return slots_.size() * sizeof(RequestState);
   }
 
  private:
-  static constexpr std::size_t kChunk = 256;
-
-  [[nodiscard]] RequestState& slot(std::uint32_t idx) {
-    return chunks_[idx / kChunk][idx % kChunk];
-  }
-
-  std::vector<std::unique_ptr<RequestState[]>> chunks_;
-  std::size_t size_ = 0;
+  std::deque<RequestState> slots_;
   std::size_t live_ = 0;
   std::uint32_t freeHead_ = kNone;
 };

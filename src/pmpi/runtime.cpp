@@ -420,13 +420,7 @@ Runtime::TransportChannel& Runtime::channel(int srcIdx, int dstIdx) {
                                  static_cast<std::uint32_t>(srcIdx))
                              << 32) |
                             static_cast<std::uint32_t>(dstIdx);
-  std::uint32_t slot = channelIndex_.lookup(key);
-  if (slot == ChannelIndex::kNone) {
-    slot = static_cast<std::uint32_t>(channelSlab_.size());
-    channelSlab_.emplace_back();
-    channelIndex_.insert(key, slot);
-  }
-  return channelSlab_[slot];
+  return channels_[key];
 }
 
 void Runtime::transportSend(int srcIdx, int dstIdx, double bytes,
@@ -455,14 +449,15 @@ void Runtime::transportSend(int srcIdx, int dstIdx, double bytes,
 
 void Runtime::transmitFrame(int srcIdx, int dstIdx, std::uint32_t seq) {
   TransportChannel& ch = channel(srcIdx, dstIdx);
-  const TransportChannel::Inflight* inf = ch.inflight.find(seq);
-  if (inf == nullptr) return;  // acked in the meantime
+  const auto it = ch.inflight.find(seq);
+  if (it == ch.inflight.end()) return;  // acked in the meantime
+  const TransportChannel::Inflight& inf = it->second;
   const int srcEp = machine_.endpointOfNode(proc(srcIdx).nodeId);
   const int dstEp = machine_.endpointOfNode(proc(dstIdx).nodeId);
-  fabric_.send(srcEp, dstEp, inf->bytes, [this, srcIdx, dstIdx, seq] {
+  fabric_.send(srcEp, dstEp, inf.bytes, [this, srcIdx, dstIdx, seq] {
     onFrameArrive(srcIdx, dstIdx, seq);
   });
-  engine().schedule(inf->rto, [this, srcIdx, dstIdx, seq] {
+  engine().schedule(inf.rto, [this, srcIdx, dstIdx, seq] {
     onFrameTimeout(srcIdx, dstIdx, seq);
   });
 }
@@ -482,9 +477,9 @@ void Runtime::onFrameArrive(int srcIdx, int dstIdx, std::uint32_t seq) {
     // and gap-jumping later frames alike — goes straight to matching.  The
     // exploration corpus must flag this as an exactly-once / in-order
     // violation; never set outside the model checker's own tests.
-    const TransportChannel::Inflight* bit = ch.inflight.find(seq);
-    if (bit != nullptr && bit->deliver) {
-      const std::function<void()> dup = bit->deliver;  // stays armed
+    const auto bit = ch.inflight.find(seq);
+    if (bit != ch.inflight.end() && bit->second.deliver) {
+      const std::function<void()> dup = bit->second.deliver;  // stays armed
       dup();
     }
     return;
@@ -496,15 +491,20 @@ void Runtime::onFrameArrive(int srcIdx, int dstIdx, std::uint32_t seq) {
     }
     return;
   }
-  TransportChannel::Inflight* it = ch.inflight.find(seq);
-  if (it == nullptr || !it->deliver) return;  // defensive
-  ch.reorder.emplace(seq, std::move(it->deliver));
+  const auto it = ch.inflight.find(seq);
+  if (it == ch.inflight.end() || !it->second.deliver) return;  // defensive
+  ch.reorder.emplace(seq, std::move(it->second.deliver));
   // Hand frames to the matching engine strictly in send order: a
   // retransmitted earlier message must not be overtaken by a later one
   // (MPI non-overtaking), so later arrivals wait in the reorder buffer.
-  // `ch` stays a valid reference across fn(): the channel slab never moves.
-  while (ch.reorder.contains(ch.nextDeliverSeq)) {
-    std::function<void()> fn = ch.reorder.take(ch.nextDeliverSeq);
+  // `ch` stays a valid reference across fn(), which may create channels:
+  // unordered_map insertion never invalidates references to elements.
+  // The window only holds seqs >= nextDeliverSeq, so its first entry is
+  // the only candidate.
+  while (!ch.reorder.empty() &&
+         ch.reorder.begin()->first == ch.nextDeliverSeq) {
+    std::function<void()> fn = std::move(ch.reorder.begin()->second);
+    ch.reorder.erase(ch.reorder.begin());
     ++ch.nextDeliverSeq;
     fn();
   }
@@ -516,15 +516,15 @@ void Runtime::onFrameAck(int srcIdx, int dstIdx, std::uint32_t seq) {
 
 void Runtime::onFrameTimeout(int srcIdx, int dstIdx, std::uint32_t seq) {
   TransportChannel& ch = channel(srcIdx, dstIdx);
-  TransportChannel::Inflight* it = ch.inflight.find(seq);
-  if (it == nullptr) return;  // acked
+  const auto it = ch.inflight.find(seq);
+  if (it == ch.inflight.end()) return;  // acked
   // Frames between dead procs (whole-job kill) are abandoned quietly; the
   // supervisor handles the job, not the transport.
   if (!procLive(proc(srcIdx)) && !procLive(proc(dstIdx))) {
     ch.inflight.erase(seq);
     return;
   }
-  TransportChannel::Inflight& inf = *it;
+  TransportChannel::Inflight& inf = it->second;
   if (inf.tries >= params_.retransmitBudget) {
     onPeerUnreachable(srcIdx, dstIdx, seq);
     return;
@@ -605,7 +605,7 @@ Job& Runtime::startJob(const std::string& appName,
   const int nprocs = static_cast<int>(nodes.size()) * procsPerNode;
   std::vector<int> members;
   for (int r = 0; r < nprocs; ++r) {
-    Proc& proc = procs_.emplace();
+    Proc& proc = procs_.emplace_back();
     proc.idx = static_cast<int>(procs_.size()) - 1;
     proc.jobId = job.id;
     proc.rank = r;
@@ -730,22 +730,17 @@ Runtime::JobTimes Runtime::jobTimes(int id) const {
 
 Runtime::MemoryStats Runtime::memoryStats() const {
   MemoryStats m;
-  m.procSlabBytes = procs_.capacityBytes();
+  m.procSlabBytes = procs_.size() * sizeof(Proc);
   m.requestSlots = requests_.slotCount();
   m.requestPoolBytes = requests_.capacityBytes();
-  for (std::size_t i = 0; i < procs_.size(); ++i) {
-    const Proc& p = procs_[i];
+  for (const Proc& p : procs_) {
     m.payloadArenaBytes += p.eagerPayloads.capacityBytes();
     m.payloadArenaPeakBytes += p.eagerPayloads.peakBytes();
     m.matchQueueBytes += p.unexpected.capacityBytes() + p.posted.capacityBytes();
     m.matchQueuePeakEntries += p.unexpected.peakSize() + p.posted.peakSize();
   }
-  m.channelCount = channelSlab_.size();
-  m.channelBytes =
-      channelIndex_.capacityBytes() + channelSlab_.size() * sizeof(TransportChannel);
-  for (const TransportChannel& ch : channelSlab_) {
-    m.channelBytes += ch.inflight.capacityBytes() + ch.reorder.capacityBytes();
-  }
+  m.channelCount = channels_.size();
+  m.channelBytes = channels_.size() * sizeof(decltype(channels_)::value_type);
   return m;
 }
 

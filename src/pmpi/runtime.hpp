@@ -14,16 +14,15 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "extoll/fabric.hpp"
 #include "hw/machine.hpp"
 #include "mc/choice.hpp"
-#include "pmpi/flat_map.hpp"
 #include "pmpi/match_fifo.hpp"
 #include "pmpi/registry.hpp"
 #include "pmpi/request_pool.hpp"
-#include "pmpi/stable_slab.hpp"
 #include "pmpi/types.hpp"
 #include "rm/resource_manager.hpp"
 #include "sim/engine.hpp"
@@ -153,8 +152,7 @@ class Runtime {
   /// fault injection (chaos plans name nodes, not jobs) resolves the
   /// victim job at fire time through this.
   [[nodiscard]] int jobOnNode(int nodeId) const {
-    for (std::size_t i = 0; i < procs_.size(); ++i) {
-      const Proc& p = procs_[i];
+    for (const Proc& p : procs_) {
       if (p.nodeId == nodeId && p.sproc != nullptr && p.sproc->live()) {
         return p.jobId;
       }
@@ -193,18 +191,19 @@ class Runtime {
 
   /// Footprint of the hot per-rank state — what "a world of N ranks" costs
   /// beyond the application's own buffers.  All values are structural
-  /// (capacities and peaks, not instantaneous contents), so they are
+  /// (element counts x sizeof, capacities and peaks — never allocator
+  /// internals or instantaneous contents), so they are
   /// byte-identical across process backends and worker counts.
   struct MemoryStats {
-    std::size_t procSlabBytes = 0;       ///< Proc slab chunk storage
+    std::size_t procSlabBytes = 0;       ///< ranks x sizeof(Proc)
     std::size_t requestSlots = 0;        ///< pool high-water slot count
-    std::size_t requestPoolBytes = 0;    ///< pool slot storage
+    std::size_t requestPoolBytes = 0;    ///< slots x sizeof(RequestState)
     std::size_t payloadArenaBytes = 0;   ///< sum of per-rank arena capacity
     std::size_t payloadArenaPeakBytes = 0;  ///< sum of per-rank arena peaks
     std::size_t matchQueueBytes = 0;     ///< posted+unexpected backing stores
     std::size_t matchQueuePeakEntries = 0;  ///< sum of per-queue peak depths
     std::size_t channelCount = 0;
-    std::size_t channelBytes = 0;        ///< channel slab + index + windows
+    std::size_t channelBytes = 0;        ///< channels x sizeof(map entry)
   };
   [[nodiscard]] MemoryStats memoryStats() const;
 
@@ -289,8 +288,10 @@ class Runtime {
     };
     std::uint32_t nextSendSeq = 0;
     std::uint32_t nextDeliverSeq = 0;
-    SeqMap<Inflight> inflight;  ///< sender side, by seq (retransmit window)
-    SeqMap<std::function<void()>> reorder;  ///< receiver side gap buffer
+    /// Sender side, by seq (retransmit window).
+    std::map<std::uint32_t, Inflight> inflight;
+    /// Receiver side gap buffer, by seq.
+    std::map<std::uint32_t, std::function<void()>> reorder;
   };
 
   /// Sends `bytes` from proc `srcIdx` to proc `dstIdx` and runs `deliver`
@@ -350,26 +351,21 @@ class Runtime {
   AppRegistry& registry_;
   ProtocolParams params_;
 
-  /// Per-rank state, indexed by procIdx.  The slab never moves an element
-  /// (closures and matching queues hold Proc references across growth) and
-  /// stores ranks contiguously in chunks — no per-rank heap allocation.
-  StableSlab<Proc> procs_;
+  /// Per-rank state, indexed by procIdx.  deque: emplace_back never moves
+  /// an element, so the Proc references that closures and matching queues
+  /// hold stay valid across growth.
+  std::deque<Proc> procs_;
   /// Request slots for every rank's in-flight operations (see Request in
   /// types.hpp for the handle semantics).
   RequestPool requests_;
   std::deque<Job> jobs_;  // deque: stable references across growth
   std::deque<CommInfo> comms_;  // deque: stable references across growth
-  // Comm interning happens a handful of times per job (launch/split), so a
-  // std::map node walk is fine here — deliberately not part of the flat
-  // hot-path containers above.
+  // Comm interning happens a handful of times per job (launch/split).
   std::map<std::uint64_t, Comm> internedComms_;
   /// Reliable-transport channels keyed by (srcIdx << 32) | dstIdx.  The
-  /// slab (a deque) gives the same reference stability under insertion the
-  /// old std::map provided — channel references stay valid across
-  /// reentrant delivery — while the open-addressed index keeps lookup a
-  /// flat probe instead of a node walk.  Channels are never erased.
-  std::deque<TransportChannel> channelSlab_;
-  ChannelIndex channelIndex_;
+  /// map is node-based and channels are never erased, so a channel
+  /// reference stays valid while reentrant delivery inserts new channels.
+  std::unordered_map<std::uint64_t, TransportChannel> channels_;
   std::function<void(int)> drainHook_;
   int unreachablePeers_ = 0;
   mc::Chooser* chooser_ = nullptr;

@@ -334,6 +334,25 @@ TEST(Fuzz, UnmodifiedTransportSurvivesTheDefaultCorpus) {
   EXPECT_EQ(r.trialsRun, spec.trials);
 }
 
+TEST(Fuzz, RecoveryLoopLateIoCompletionSeedRunsClean) {
+  // Trial 247 of the committed recovery-loop spec crashes a node while a
+  // rank waits on a checkpoint transfer; the relaunched rank reuses the
+  // dead rank's fiber stack before the transfer lands.  A completion that
+  // writes into the new rank's frames segfaults on the fiber backend; the
+  // trial must run clean.
+  const std::string path =
+      std::string(CBSIM_CHAOS_EXAMPLES_DIR) + "/recovery-loop.json";
+  chaos::ChaosSpec spec =
+      chaos::chaosSpecFromDescText(desc::readFile(path), path);
+  spec.seed = 12071461168978180166ull;
+  spec.trials = 1;
+  chaos::FuzzOptions opt;
+  opt.shrink = false;
+  const chaos::FuzzResult r = chaos::fuzz(spec, opt);
+  EXPECT_FALSE(r.violation) << r.message;
+  EXPECT_EQ(r.trialsRun, 1);
+}
+
 TEST(Fuzz, FindsShrinksAndReplaysTheSeededDefect) {
   chaos::ChaosSpec spec = campaign::defaultChaosSpec();
   spec.scenario.breakDedup = true;

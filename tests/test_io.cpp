@@ -12,6 +12,7 @@
 #include "io/local_store.hpp"
 #include "io/nam_store.hpp"
 #include "io/sion.hpp"
+#include "io/transfer.hpp"
 #include "world_fixture.hpp"
 
 namespace {
@@ -328,6 +329,40 @@ TEST(Beeond, ReadHitsLocalCache) {
     fs.read(env, f, 0, back);
     EXPECT_LT(cachedSec * 3, env.wtime() - t1);
   });
+}
+
+// ------------------------------------------------------------ awaitTransfer
+
+TEST(AwaitTransfer, LateDeliveryLeavesRecycledStackIntact) {
+  // Rank A is cancelled while it waits for a transfer.  The engine reaps A
+  // at once and its fiber stack goes back to the pool, where rank B picks
+  // it up.  When A's transfer lands later, the completion must not write
+  // A's `done` flag into B's frames: B's sentinel block, which spans the
+  // depth where A's flag lived, must read back unchanged.
+  World w;
+  const int srcEp = w.machine.endpointOfNode(0);
+  const int dstEp = w.machine.endpointOfNode(1);
+  w.registry.add("victim", [&](Env& env) {
+    io::awaitTransfer(env, w.fabric, srcEp, dstEp, 1e9);  // ~0.1 s on the wire
+  });
+  constexpr std::size_t kWords = 4096;  // 32 KiB of stack
+  constexpr std::uint64_t kSentinel = 0x5a5a5a5a5a5a5a5aull;
+  std::size_t corrupted = 0;
+  w.registry.add("bystander", [&](Env& env) {
+    volatile std::uint64_t sentinel[kWords];
+    for (std::size_t i = 0; i < kWords; ++i) sentinel[i] = kSentinel;
+    env.ctx().delay(sim::SimTime::seconds(1.0));  // past A's delivery
+    for (std::size_t i = 0; i < kWords; ++i) {
+      if (sentinel[i] != kSentinel) ++corrupted;
+    }
+  });
+  const int victim = w.rt.launch("victim", hw::NodeKind::Cluster, 1).id;
+  w.engine.schedule(sim::SimTime::ms(1), [&] { w.rt.killJob(victim); });
+  w.engine.schedule(sim::SimTime::ms(2), [&] {
+    w.rt.launch("bystander", hw::NodeKind::Cluster, 1);
+  });
+  w.run();
+  EXPECT_EQ(corrupted, 0u);
 }
 
 }  // namespace
