@@ -39,26 +39,31 @@ McScenario scenarioFromDesc(desc::Reader& r) {
     if (s.budget.maxSchedules < 1) b->fail("max_schedules must be >= 1");
     if (s.budget.maxDepth < 1) b->fail("max_depth must be >= 1");
   }
-  s.senders = static_cast<int>(r.intAt("senders", s.senders));
-  s.messages = static_cast<int>(r.intAt("messages", s.messages));
-  s.recvWarmupUs = r.numberAt("recv_warmup_us", s.recvWarmupUs);
-  s.recvWorkUs = r.numberAt("recv_work_us", s.recvWorkUs);
-  if (s.recvWarmupUs < 0 || s.recvWorkUs < 0) {
-    r.fail("recv_warmup_us/recv_work_us must be >= 0");
-  }
-  s.ranks = static_cast<int>(r.intAt("ranks", s.ranks));
-  s.steps = static_cast<int>(r.intAt("steps", s.steps));
-  s.stepSec = r.numberAt("step_sec", s.stepSec);
-  s.stateBytes =
-      static_cast<std::size_t>(r.uintAt("state_bytes", s.stateBytes));
-  s.spareNodes = static_cast<int>(r.intAt("spare_nodes", s.spareNodes));
-  s.repairSec = r.numberAt("repair_sec", s.repairSec);
-  s.failAtSec = r.numberAt("fail_at_sec", s.failAtSec);
-  s.faultQuantumSec = r.numberAt("fault_quantum_sec", s.faultQuantumSec);
-  s.maxAttempts = static_cast<int>(r.intAt("max_attempts", s.maxAttempts));
-  s.restartDelaySec = r.numberAt("restart_delay_sec", s.restartDelaySec);
-  if (auto c = r.tryChild("scr")) {
-    s.scr = scr::scrConfigFromDesc(*c);
+  // Only the declared family's keys are read, so finish() names any key
+  // of the other family instead of --dump dropping it without a word.
+  if (s.family == "message-race") {
+    s.senders = static_cast<int>(r.intAt("senders", s.senders));
+    s.messages = static_cast<int>(r.intAt("messages", s.messages));
+    s.recvWarmupUs = r.numberAt("recv_warmup_us", s.recvWarmupUs);
+    s.recvWorkUs = r.numberAt("recv_work_us", s.recvWorkUs);
+    if (s.recvWarmupUs < 0 || s.recvWorkUs < 0) {
+      r.fail("recv_warmup_us/recv_work_us must be >= 0");
+    }
+  } else {
+    s.ranks = static_cast<int>(r.intAt("ranks", s.ranks));
+    s.steps = static_cast<int>(r.intAt("steps", s.steps));
+    s.stepSec = r.numberAt("step_sec", s.stepSec);
+    s.stateBytes =
+        static_cast<std::size_t>(r.uintAt("state_bytes", s.stateBytes));
+    s.spareNodes = static_cast<int>(r.intAt("spare_nodes", s.spareNodes));
+    s.repairSec = r.numberAt("repair_sec", s.repairSec);
+    s.failAtSec = r.numberAt("fail_at_sec", s.failAtSec);
+    s.faultQuantumSec = r.numberAt("fault_quantum_sec", s.faultQuantumSec);
+    s.maxAttempts = static_cast<int>(r.intAt("max_attempts", s.maxAttempts));
+    s.restartDelaySec = r.numberAt("restart_delay_sec", s.restartDelaySec);
+    if (auto c = r.tryChild("scr")) {
+      s.scr = scr::scrConfigFromDesc(*c);
+    }
   }
   r.finish();
   return s;

@@ -16,7 +16,8 @@
 //       "budget": { "max_schedules": 2000,    // optional
 //                   "max_depth": 512,
 //                   "sleep_sets": true },
-//       // message-race keys:
+//       // message-race keys (only the declared family's keys are
+//       // accepted):
 //       "senders": 2, "messages": 2,
 //       // checkpoint-restart keys:
 //       "ranks": 2, "steps": 6, "step_sec": 0.004, "state_bytes": 4096,
@@ -29,7 +30,7 @@
 //
 // The seeded-defect switch (breakDedup) is deliberately NOT part of the
 // schema: a description file describes an experiment, not a code bug; the
-// defect is enabled only by the cbsim_mc --break-dedup flag and tests.
+// defect is enabled only by `cbsim mc|chaos --break-dedup` and tests.
 
 #include "desc/schema.hpp"
 #include "mc/scenarios.hpp"

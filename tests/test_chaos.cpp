@@ -233,6 +233,13 @@ TEST(Desc, ExampleProfilesParseValidateAndGenerate) {
     EXPECT_EQ(chaos::dumpSpec(chaos::chaosSpecFromDescText(text, path)),
               text)
         << file;
+    // tests/desc/dumps/chaos-<file> pins what `cbsim chaos --dump` prints.
+    EXPECT_EQ(desc::readFile(std::string(CBSIM_DESC_DUMPS_DIR) + "/chaos-" +
+                             file),
+              text)
+        << "stale committed dump; regenerate with: cbsim chaos "
+           "--scenario-file examples/chaos/"
+        << file << " --dump";
   }
 }
 

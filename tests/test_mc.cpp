@@ -314,6 +314,13 @@ TEST(McDesc, CorpusFilesRoundTripThroughCanonicalForm) {
     const mc::McScenario back =
         mc::scenarioFromDoc(desc::parse(dumped, pin.file), pin.file);
     EXPECT_EQ(mc::dumpScenario(back), dumped) << pin.file;
+    // tests/desc/dumps/mc-<file> pins what `cbsim mc --dump` prints.
+    EXPECT_EQ(desc::readFile(std::string(CBSIM_DESC_DUMPS_DIR) + "/mc-" +
+                             pin.file),
+              dumped)
+        << "stale committed dump; regenerate with: cbsim mc --scenario-file "
+           "examples/mc/"
+        << pin.file << " --dump";
     EXPECT_EQ(back.name, s.name);
     EXPECT_EQ(back.family, s.family);
     EXPECT_EQ(back.budget.maxSchedules, s.budget.maxSchedules);
@@ -321,11 +328,19 @@ TEST(McDesc, CorpusFilesRoundTripThroughCanonicalForm) {
 }
 
 TEST(McDesc, UnknownKeysAreRejected) {
-  const std::string doc = R"({"explore": {"family": "message-race",
-      "drain_sec": 1.0, "retransmit_jitter": true}})";
-  EXPECT_THROW(
-      (void)mc::scenarioFromDoc(desc::parse(doc, "inline"), "inline"),
-      std::runtime_error);
+  // The other family's keys are unknown too: a message-race scenario that
+  // accepted "ranks" would pass --validate and lose it in --dump.
+  for (const char* doc : {
+           R"({"explore": {"family": "message-race", "drain_sec": 1.0,
+               "retransmit_jitter": true}})",
+           R"({"explore": {"family": "message-race", "ranks": 64}})",
+           R"({"explore": {"family": "message-race", "scr": {}}})",
+           R"({"explore": {"family": "checkpoint-restart", "senders": 3}})"}) {
+    EXPECT_THROW(
+        (void)mc::scenarioFromDoc(desc::parse(doc, "inline"), "inline"),
+        std::runtime_error)
+        << doc;
+  }
 }
 
 TEST(McDesc, BrokenDedupIsNotExpressibleInDescriptions) {
