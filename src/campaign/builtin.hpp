@@ -134,9 +134,9 @@ struct HaloParams {
   double computeSec = 200e-6;       ///< per-step interior compute
   int allreduceEvery = 5;           ///< residual allreduce cadence; 0 = never
   /// Per-rank fiber stack size in KiB; 0 keeps the engine default
-  /// (CBSIM_FIBER_STACK_KB or 256).  Large sweeps shrink this so stack
-  /// reservation, not the application state, stays off the critical RSS
-  /// path.  Clamped to >= 16 KiB by the engine.
+  /// (256 KiB).  Large sweeps shrink this so stack reservation, not the
+  /// application state, stays off the critical RSS path.  Clamped to
+  /// >= 16 KiB by the engine.
   int fiberStackKb = 0;
   pmpi::ProtocolParams protocol;
 };

@@ -82,7 +82,7 @@ void recordMemoryMetrics(ScenarioContext& ctx, const sim::Engine& engine,
   // live stack-pool statistics so the thread backend yields the same number.
   const std::size_t stackBytes = engine.fiberStackBytes() != 0
                                      ? engine.fiberStackBytes()
-                                     : std::size_t{256} * 1024;
+                                     : sim::Engine::kDefaultFiberStackBytes;
   m.add("mem.stack_reserve_bytes",
         static_cast<double>(engine.spawnedProcessCount()) *
             static_cast<double>(stackBytes));

@@ -1,62 +1,59 @@
 #include "desc/cache.hpp"
 
-#include <atomic>
-
-#include "desc/json.hpp"
+#include <mutex>
+#include <unordered_map>
 
 namespace cbsim::desc {
 
 namespace {
 
-std::atomic<bool> gCacheEnabled{true};
+struct Memo {
+  std::mutex mu;
+  std::unordered_map<std::string, std::shared_ptr<const void>> map;
+  CacheStats stats;
+};
 
-// The registry outlives every cache: caches are function-local statics,
-// and this mutex/vector pair is created before the first cache registers
-// (construct-on-first-use) and intentionally leaked, so clear/info calls
-// during static destruction never touch a dead object.
-std::mutex& registryMutex() {
-  static std::mutex* m = new std::mutex;
+// Intentionally leaked, so lookups during static destruction never touch a
+// dead object.
+Memo& memo() {
+  static Memo* m = new Memo;
   return *m;
-}
-
-std::vector<CacheBase*>& registry() {
-  static std::vector<CacheBase*>* r = new std::vector<CacheBase*>;
-  return *r;
 }
 
 }  // namespace
 
-bool constructionCacheEnabled() {
-  return gCacheEnabled.load(std::memory_order_relaxed);
+namespace detail {
+
+std::shared_ptr<const void> memoFind(const std::string& key) {
+  Memo& m = memo();
+  const std::lock_guard<std::mutex> lock(m.mu);
+  const auto it = m.map.find(key);
+  if (it == m.map.end()) return nullptr;
+  ++m.stats.hits;
+  return it->second;
 }
 
-void setConstructionCacheEnabled(bool on) {
-  gCacheEnabled.store(on, std::memory_order_relaxed);
+std::shared_ptr<const void> memoInsert(const std::string& key,
+                                       std::shared_ptr<const void> built) {
+  Memo& m = memo();
+  const std::lock_guard<std::mutex> lock(m.mu);
+  ++m.stats.misses;
+  return m.map.emplace(key, std::move(built)).first->second;
 }
+
+}  // namespace detail
 
 void clearConstructionCaches() {
-  const std::lock_guard<std::mutex> lock(registryMutex());
-  for (CacheBase* c : registry()) c->clear();
+  Memo& m = memo();
+  const std::lock_guard<std::mutex> lock(m.mu);
+  m.map.clear();
+  m.stats = {};
 }
 
 std::vector<CacheInfo> constructionCacheInfo() {
-  const std::lock_guard<std::mutex> lock(registryMutex());
-  std::vector<CacheInfo> out;
-  out.reserve(registry().size());
-  for (const CacheBase* c : registry()) out.push_back({c->name(), c->stats()});
-  return out;
-}
-
-CacheBase::CacheBase(std::string name) : name_(std::move(name)) {
-  const std::lock_guard<std::mutex> lock(registryMutex());
-  registry().push_back(this);
-}
-
-std::shared_ptr<const Value> parseCached(std::string_view text,
-                                         std::string_view origin) {
-  static MemoCache<Value>& cache = *new MemoCache<Value>("desc.parse");
-  return cache.get(std::string(text),
-                   [&]() -> Value { return parse(text, origin); });
+  Memo& m = memo();
+  const std::lock_guard<std::mutex> lock(m.mu);
+  return {{"desc.preset", m.stats}};
 }
 
 }  // namespace cbsim::desc

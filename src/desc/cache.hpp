@@ -1,141 +1,67 @@
 #pragma once
 
-// Thread-safe construction caches for the description layer.
+// Process-wide memo of built presets.
 //
-// Since PR 5 every preset IS an embedded description string, so each
-// construction of a preset pays a full JSON parse + schema bind +
-// validate.  That is the right architecture (one construction path) but
-// the wrong place to pay per *scenario*: a campaign sweeping hundreds of
-// tiny worlds re-parses the same byte-identical text hundreds of times,
-// concurrently, on every worker.  These caches memoize the constructed
-// value once per distinct input and hand copies out, so worlds stay
-// isolated while the parse/bind/validate cost is paid once per process.
+// Every preset (MachineConfig::deepEr(), cpuPreset("xeon-haswell"), ...) is
+// an embedded description string, so building one pays a JSON parse plus a
+// schema bind and validate.  Campaigns build the same presets once per
+// world — thousands of times in the recovery sweeps — so the built object
+// is memoized per preset key ("machine/deep-er", "cpu/xeon-haswell",
+// "net/extoll-tourmalet") and every caller receives its own copy: worlds
+// stay isolated while the parse/bind/validate cost is paid once per
+// process.  Only preset keys are memoized; descriptions read from files
+// always go through bind-and-validate.
 //
-// Cache identity: the key is the input text for parse results and the
-// canonical dump() string (or the preset name, which resolves to fixed
-// embedded text) for constructed objects.  dump() is canonical — byte
-// equality of dumps is semantic equality of descriptions — so two inputs
-// share a cache entry exactly when they describe the same object.  An
-// input that fails to construct caches nothing; errors replay on every
-// attempt.
-//
-// Concurrency: lookups take a per-cache mutex; construction on a miss
-// runs OUTSIDE the lock so a slow first build never serializes unrelated
-// lookups.  Concurrent first misses may each build (the first insert
-// wins, the losers' builds are discarded) — benign, deterministic, and
-// TSan-exercised in test_campaign.
-//
-// The process-wide switch (setConstructionCacheEnabled) exists for the
-// equivalence tests, which prove byte-identical campaign reports with
-// caching on and off.
+// Concurrency: lookups take one mutex; a miss builds OUTSIDE the lock, so a
+// slow first build never serializes unrelated lookups.  Concurrent first
+// misses may each build; the first insert wins and the losers' builds are
+// discarded (benign and deterministic, TSan-exercised in test_campaign).
+// A build that throws caches nothing, so its error replays on every call.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace cbsim::desc {
 
-class Value;
-
-/// Hit/miss counters of one cache (misses count builds, so concurrent
-/// first misses on one key may record several).
+/// Hit/miss counters of the memo (misses count builds, so concurrent first
+/// misses on one key may record several).
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
 };
 
-/// Process-wide switch for every description-layer cache.  On by default;
-/// flipping it off makes every lookup construct fresh (no entries are
-/// added or consulted while off — existing entries are kept).
-[[nodiscard]] bool constructionCacheEnabled();
-void setConstructionCacheEnabled(bool on);
-
-/// Drops every entry (and resets the stats) of every registered cache.
+/// Empties the memo and resets its counters.
 void clearConstructionCaches();
 
-/// Name + stats of every registered cache, in registration order.
+/// Name + counters of the memo (a single entry, "desc.preset").
 struct CacheInfo {
   std::string name;
   CacheStats stats;
 };
 [[nodiscard]] std::vector<CacheInfo> constructionCacheInfo();
 
-/// Registration base so clearConstructionCaches()/constructionCacheInfo()
-/// reach every MemoCache instance.  Instances are expected to be
-/// function-local statics (they are never unregistered).
-class CacheBase {
- public:
-  explicit CacheBase(std::string name);
-  CacheBase(const CacheBase&) = delete;
-  CacheBase& operator=(const CacheBase&) = delete;
+namespace detail {
+/// The cached object for `key`, or null (counting a hit when found).
+[[nodiscard]] std::shared_ptr<const void> memoFind(const std::string& key);
+/// Inserts `built` unless `key` is already present (counting a miss);
+/// returns the entry that won.
+[[nodiscard]] std::shared_ptr<const void> memoInsert(
+    const std::string& key, std::shared_ptr<const void> built);
+}  // namespace detail
 
-  [[nodiscard]] const std::string& name() const { return name_; }
-  virtual void clear() = 0;
-  [[nodiscard]] virtual CacheStats stats() const = 0;
-
- protected:
-  ~CacheBase() = default;
-
- private:
-  std::string name_;
-};
-
-/// String-keyed memo of immutable constructed values.  get() returns a
-/// shared handle; callers needing a mutable/isolated object copy the
-/// pointee (cheap relative to re-constructing it).
-template <typename T>
-class MemoCache final : public CacheBase {
- public:
-  using CacheBase::CacheBase;
-
-  std::shared_ptr<const T> get(const std::string& key,
-                               const std::function<T()>& build) {
-    if (!constructionCacheEnabled()) {
-      return std::make_shared<const T>(build());
-    }
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      const auto it = map_.find(key);
-      if (it != map_.end()) {
-        ++hits_;
-        return it->second;
-      }
-    }
-    // Build outside the lock; throwing builds cache nothing.
-    auto built = std::make_shared<const T>(build());
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++misses_;
-    return map_.emplace(key, std::move(built)).first->second;
+/// A copy of the object memoized under `key`, built by `build()` on a miss.
+/// Each key must always name objects of the same type T.
+template <typename T, typename Build>
+[[nodiscard]] T memoized(const std::string& key, Build&& build) {
+  std::shared_ptr<const void> entry = detail::memoFind(key);
+  if (!entry) {
+    entry = detail::memoInsert(
+        key, std::make_shared<const T>(std::forward<Build>(build)()));
   }
-
-  void clear() override {
-    const std::lock_guard<std::mutex> lock(mu_);
-    map_.clear();
-    hits_ = 0;
-    misses_ = 0;
-  }
-
-  [[nodiscard]] CacheStats stats() const override {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return {hits_, misses_};
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<const T>> map_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-};
-
-/// Memoized desc::parse: one parse per distinct (text) input.  The
-/// returned Value is shared and immutable — bind through a Reader, never
-/// mutate.  `origin` labels errors on the (uncached) first parse only.
-[[nodiscard]] std::shared_ptr<const Value> parseCached(
-    std::string_view text, std::string_view origin = "");
+  return *static_cast<const T*>(entry.get());
+}
 
 }  // namespace cbsim::desc

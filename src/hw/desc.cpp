@@ -265,35 +265,6 @@ const char* presetText(const PresetEntry (&table)[N], const std::string& name,
                           name + "\" (known: " + known + ")");
 }
 
-// ---- Construction caches ---------------------------------------------------
-// Keys are "preset/<name>" (each preset name resolves to fixed embedded
-// text) or "desc/" + the canonical dump() of the description value; dump()
-// is canonical, so byte-equal keys mean semantically identical
-// descriptions.  Cached objects are immutable and every accessor copies
-// them out, so callers mutate their copy and concurrently running worlds
-// stay isolated.  A hit skips parse, schema bind AND validate() — safe
-// because the identical description passed all three when the entry was
-// built (failing constructions cache nothing).
-
-desc::MemoCache<CpuSpec>& cpuCache() {
-  static auto& c = *new desc::MemoCache<CpuSpec>("hw.cpu");
-  return c;
-}
-
-desc::MemoCache<NetClassSpec>& netCache() {
-  static auto& c = *new desc::MemoCache<NetClassSpec>("hw.net");
-  return c;
-}
-
-desc::MemoCache<MachineConfig>& machineCache() {
-  static auto& c = *new desc::MemoCache<MachineConfig>("hw.machine");
-  return c;
-}
-
-CpuSpec cpuSpecFromDescUncached(desc::Reader& r);
-NetClassSpec netClassSpecFromDescUncached(desc::Reader& r);
-MachineConfig machineConfigFromDescUncached(desc::Reader& r);
-
 }  // namespace
 
 // ---- SimTime <-> nanosecond numbers ----------------------------------------
@@ -334,13 +305,6 @@ NodeKind nodeKindFromKey(desc::Reader& r) {
 
 CpuSpec cpuSpecFromDesc(desc::Reader& r) {
   if (r.value().isString()) return cpuPreset(r.asString());
-  return *cpuCache().get("desc/" + desc::dump(r.value()),
-                         [&] { return cpuSpecFromDescUncached(r); });
-}
-
-namespace {
-
-CpuSpec cpuSpecFromDescUncached(desc::Reader& r) {
   CpuSpec s;
   if (r.has("preset")) s = cpuPreset(r.stringAt("preset"));
   s.model = r.stringAt("model", s.model);
@@ -364,17 +328,8 @@ CpuSpec cpuSpecFromDescUncached(desc::Reader& r) {
   return s;
 }
 
-}  // namespace
-
 NetClassSpec netClassSpecFromDesc(desc::Reader& r) {
   if (r.value().isString()) return netPreset(r.asString());
-  return *netCache().get("desc/" + desc::dump(r.value()),
-                         [&] { return netClassSpecFromDescUncached(r); });
-}
-
-namespace {
-
-NetClassSpec netClassSpecFromDescUncached(desc::Reader& r) {
   NetClassSpec s;
   if (r.has("preset")) s = netPreset(r.stringAt("preset"));
   s.name = r.stringAt("name", s.name);
@@ -388,8 +343,6 @@ NetClassSpec netClassSpecFromDescUncached(desc::Reader& r) {
   r.finish();
   return s;
 }
-
-}  // namespace
 
 NvmeSpec nvmeSpecFromDesc(desc::Reader& r) {
   NvmeSpec s;
@@ -541,13 +494,6 @@ void setGroupCount(MachineConfig& cfg, NodeKind kind, int count) {
 
 MachineConfig machineConfigFromDesc(desc::Reader& r) {
   if (r.value().isString()) return machinePreset(r.asString());
-  return *machineCache().get("desc/" + desc::dump(r.value()),
-                             [&] { return machineConfigFromDescUncached(r); });
-}
-
-namespace {
-
-MachineConfig machineConfigFromDescUncached(desc::Reader& r) {
   if (r.has("preset")) {
     MachineConfig cfg = machinePreset(r.stringAt("preset"));
     cfg.name = r.stringAt("name", cfg.name);
@@ -620,8 +566,6 @@ MachineConfig machineConfigFromDescUncached(desc::Reader& r) {
   cfg.validate();
   return cfg;
 }
-
-}  // namespace
 
 // ---- Writers ---------------------------------------------------------------
 
@@ -777,10 +721,10 @@ std::vector<std::string> cpuPresetNames() { return presetNames(kCpuPresets); }
 
 CpuSpec cpuPreset(const std::string& name) {
   const char* text = presetText(kCpuPresets, name, "cpu");
-  return *cpuCache().get("preset/" + name, [&] {
+  return desc::memoized<CpuSpec>("cpu/" + name, [&] {
     desc::Value v = desc::parse(text, "builtin:cpu/" + name);
     desc::Reader r(v, "");
-    return cpuSpecFromDescUncached(r);
+    return cpuSpecFromDesc(r);
   });
 }
 
@@ -788,10 +732,10 @@ std::vector<std::string> netPresetNames() { return presetNames(kNetPresets); }
 
 NetClassSpec netPreset(const std::string& name) {
   const char* text = presetText(kNetPresets, name, "net");
-  return *netCache().get("preset/" + name, [&] {
+  return desc::memoized<NetClassSpec>("net/" + name, [&] {
     desc::Value v = desc::parse(text, "builtin:net/" + name);
     desc::Reader r(v, "");
-    return netClassSpecFromDescUncached(r);
+    return netClassSpecFromDesc(r);
   });
 }
 
@@ -801,10 +745,10 @@ std::vector<std::string> machinePresetNames() {
 
 MachineConfig machinePreset(const std::string& name) {
   const char* text = presetText(kMachinePresets, name, "machine");
-  return *machineCache().get("preset/" + name, [&] {
+  return desc::memoized<MachineConfig>("machine/" + name, [&] {
     desc::Value v = desc::parse(text, "builtin:machine/" + name);
     desc::Reader r(v, "");
-    return machineConfigFromDescUncached(r);
+    return machineConfigFromDesc(r);
   });
 }
 

@@ -17,14 +17,13 @@
 //     references), so parse(dump(x)) reconstructs x exactly and dumps
 //     are canonical byte-for-byte.
 //
-// Construction caching: the readers and preset accessors memoize their
-// results in thread-safe caches (desc/cache.hpp) keyed on the preset name
-// or the canonical dump() of the description — canonical dumps make byte
-// equality of keys equal semantic equality of descriptions.  Every call
-// still returns a fresh copy, so two scenarios reading "the same" machine
-// can never alias mutable state.  desc::setConstructionCacheEnabled(false)
-// restores the parse-every-time behavior (used by the cache-equivalence
-// tests).
+// Construction caching: the preset accessors (cpuPreset, netPreset,
+// machinePreset and the MachineConfig shorthands) memoize the built preset
+// per name in desc/cache.hpp, so its embedded text is parsed, bound and
+// validated once per process.  Every call still returns a fresh copy, so
+// two scenarios reading "the same" machine can never alias mutable state.
+// Descriptions that are not bare preset names are bound and validated on
+// every call.
 
 #include <string>
 #include <vector>

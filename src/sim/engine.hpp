@@ -131,10 +131,12 @@ class Engine {
   /// can outlive state its closures reference.  Idempotent.
   void shutdown() { shutdownProcesses(); }
 
+  /// Fiber stack size of processes spawned while no size is set.
+  static constexpr std::size_t kDefaultFiberStackBytes = 256 * 1024;
   /// Fiber stack size for processes spawned after the call, in bytes;
-  /// 0 (the default) defers to $CBSIM_FIBER_STACK_KB / the 256 KiB
-  /// built-in.  Scenario descriptions route their per-workload stack
-  /// budget through this instead of mutating the environment.
+  /// 0 (the default) means kDefaultFiberStackBytes; nonzero values are
+  /// clamped to at least 16 KiB.  Scenario descriptions route their
+  /// per-workload stack budget through this.
   void setFiberStackBytes(std::size_t bytes) { fiberStackBytes_ = bytes; }
   [[nodiscard]] std::size_t fiberStackBytes() const { return fiberStackBytes_; }
   /// Carve fiber stacks from shared slab mappings of `n` stacks each
@@ -207,7 +209,7 @@ class Engine {
   /// Declared before processes_: fibers return stacks here on finalize,
   /// so the pool must outlive every Process.
   detail::FiberStackPool stackPool_;
-  std::size_t fiberStackBytes_ = 0;  ///< 0 = environment default
+  std::size_t fiberStackBytes_ = 0;  ///< 0 = kDefaultFiberStackBytes
   /// Binary heap ordered by EventLater (std::push_heap/std::pop_heap), the
   /// same discipline std::priority_queue uses — kept as a plain vector so
   /// the top event can be moved out without const_cast (mutating through a

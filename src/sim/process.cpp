@@ -294,16 +294,6 @@ class ThreadExec final : public ExecContext {
 
 #if defined(CBSIM_HAS_FIBERS)
 
-std::size_t fiberStackBytes() {
-  // Re-read per start: tests shrink stacks for mass-spawn scenarios.
-  if (const char* env = std::getenv("CBSIM_FIBER_STACK_KB");
-      env != nullptr && *env != '\0') {
-    const long kb = std::strtol(env, nullptr, 10);
-    if (kb >= 16) return static_cast<std::size_t>(kb) * 1024;
-  }
-  return 256 * 1024;
-}
-
 class FiberExec final : public ExecContext {
  public:
   FiberExec(Process& proc, FiberStackPool& pool, std::size_t stackBytesHint)
@@ -397,7 +387,7 @@ class FiberExec final : public ExecContext {
     const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
     std::size_t stackBytes =
         stackBytesHint_ != 0 ? std::max<std::size_t>(stackBytesHint_, 16 * 1024)
-                             : fiberStackBytes();
+                             : Engine::kDefaultFiberStackBytes;
     stackBytes = (stackBytes + page - 1) / page * page;
     mapSize_ = stackBytes + page;  // + low guard page
     const FiberStackPool::Stack pooled = pool_.acquire(mapSize_);

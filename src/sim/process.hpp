@@ -177,9 +177,9 @@ class ExecContext {
   static void markCancelledBeforeStart(Process& p);
 };
 
-/// `stackBytes` 0 means the environment default ($CBSIM_FIBER_STACK_KB or
-/// 256 KiB); nonzero values are clamped to at least 16 KiB.  Both the pool
-/// and the size are ignored by the thread backend.
+/// `stackBytes` 0 means the 256 KiB default; nonzero values are clamped to
+/// at least 16 KiB.  Both the pool and the size are ignored by the thread
+/// backend.
 std::unique_ptr<ExecContext> makeExecContext(ProcessBackend backend,
                                              Process& proc,
                                              FiberStackPool& stackPool,

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -31,28 +30,6 @@ using sim::SimTime;
 struct BackendGuard {
   ProcessBackend saved = sim::defaultProcessBackend();
   ~BackendGuard() { sim::setDefaultProcessBackend(saved); }
-};
-
-/// Scoped environment variable override.
-struct EnvGuard {
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
 };
 
 /// A workload exercising every control-transfer path: delays, plain events,
@@ -174,13 +151,13 @@ TEST(BackendStress, MassCancelWakeIsDeterministic) {
   // The run must terminate, leave nobody blocked, and produce the same
   // event count every time.  (Under the thread backend this would mean 10k
   // OS threads, so the count is scaled down there.)
-  EnvGuard stackEnv("CBSIM_FIBER_STACK_KB", "64");
   const bool fibers = sim::effectiveProcessBackend(ProcessBackend::Fiber) ==
                       ProcessBackend::Fiber;
   const int n = fibers ? 10000 : 500;
 
   auto runOnce = [&]() -> std::uint64_t {
     Engine e(99, fibers ? ProcessBackend::Fiber : ProcessBackend::Thread);
+    e.setFiberStackBytes(64 * 1024);
     std::vector<Process*> procs;
     procs.reserve(static_cast<std::size_t>(n));
     int completed = 0;

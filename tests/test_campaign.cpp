@@ -230,13 +230,7 @@ TEST(Runner, TraceWriteFailureKeepsScenarioResults) {
   fs::remove_all(dir);
 }
 
-// ---- Construction cache ----------------------------------------------------
-
-/// Restores cache enablement on scope exit.
-struct CacheGuard {
-  bool saved = desc::constructionCacheEnabled();
-  ~CacheGuard() { cbsim::desc::setConstructionCacheEnabled(saved); }
-};
+// ---- Preset memo ------------------------------------------------------------
 
 /// Restores the process-wide default backend on scope exit.
 struct BackendGuard {
@@ -244,28 +238,28 @@ struct BackendGuard {
   ~BackendGuard() { sim::setDefaultProcessBackend(saved); }
 };
 
-desc::CacheStats statsOf(const std::string& name) {
+desc::CacheStats memoStats() {
+  desc::CacheStats total;
   for (const desc::CacheInfo& i : desc::constructionCacheInfo()) {
-    if (i.name == name) return i.stats;
+    total.hits += i.stats.hits;
+    total.misses += i.stats.misses;
   }
-  return {};
+  return total;
 }
 
-// The cache must be invisible in the output: byte-identical campaign
-// reports with construction caching on and off, across worker counts and
-// process backends.  Campaign *construction* runs under each setting too
-// (builtinCampaign re-parses the builtin text and machine presets).
-TEST(CampaignCache, Fig8ReportIdenticalCacheOnOffJobsBackends) {
-  CacheGuard cacheGuard;
+// The memo must be invisible in the output: byte-identical campaign
+// reports from a cold memo (cleared before the run) and a warm one, across
+// worker counts and process backends.  Campaign *construction* runs cold
+// and warm too (builtinCampaign re-parses the builtin text and presets).
+TEST(CampaignCache, Fig8ReportIdenticalColdWarmJobsBackends) {
   BackendGuard backendGuard;
   std::string ref;
   for (const sim::ProcessBackend backend :
        {sim::ProcessBackend::Fiber, sim::ProcessBackend::Thread}) {
     sim::setDefaultProcessBackend(backend);
-    for (const bool cached : {true, false}) {
-      desc::setConstructionCacheEnabled(cached);
-      if (cached) desc::clearConstructionCaches();  // exercise cold misses
-      for (const int jobs : {1, 2, 8}) {
+    for (const int jobs : {1, 2, 8}) {
+      for (const bool cold : {true, false}) {
+        if (cold) desc::clearConstructionCaches();
         const Campaign c = campaign::builtinCampaign("fig8-tiny");
         const std::string json =
             campaign::toJson(campaign::runCampaign(c, campaign::withJobs(jobs)));
@@ -273,7 +267,7 @@ TEST(CampaignCache, Fig8ReportIdenticalCacheOnOffJobsBackends) {
           ref = json;
         } else {
           EXPECT_EQ(json, ref)
-              << "backend=" << sim::toString(backend) << " cached=" << cached
+              << "backend=" << sim::toString(backend) << " cold=" << cold
               << " jobs=" << jobs;
         }
       }
@@ -283,31 +277,27 @@ TEST(CampaignCache, Fig8ReportIdenticalCacheOnOffJobsBackends) {
 
 // Same for the resilience family, whose scenarios construct the machine
 // inside the sweep (the path that used to re-parse the preset per world).
-TEST(CampaignCache, ResilienceReportIdenticalCacheOnOff) {
-  CacheGuard cacheGuard;
+TEST(CampaignCache, ResilienceReportIdenticalColdWarm) {
   campaign::ResilienceParams p;
   p.mtbfSec = {0.3};
   p.steps = 8;
   std::string ref;
-  for (const bool cached : {true, false}) {
-    desc::setConstructionCacheEnabled(cached);
-    if (cached) desc::clearConstructionCaches();
+  for (const bool cold : {true, false}) {
+    if (cold) desc::clearConstructionCaches();
     const std::string json = campaign::toJson(
         campaign::runCampaign(resilienceCampaign(p), campaign::withJobs(4)));
     if (ref.empty()) {
       ref = json;
     } else {
-      EXPECT_EQ(json, ref) << "cached=" << cached;
+      EXPECT_EQ(json, ref) << "cold=" << cold;
     }
   }
 }
 
 // Concurrent first miss: many threads racing to construct the same preset
-// must agree on the result, and afterwards the cache must serve pure hits.
-// Run under CBSIM_SANITIZE=thread to let TSan audit the cache locking.
+// must agree on the result, and afterwards the memo must serve pure hits.
+// Run under CBSIM_SANITIZE=thread to let TSan audit the memo locking.
 TEST(CampaignCache, ConcurrentFirstMissConverges) {
-  CacheGuard cacheGuard;
-  desc::setConstructionCacheEnabled(true);
   desc::clearConstructionCaches();
   constexpr int kThreads = 8;
   std::vector<std::string> dumps(kThreads);
@@ -323,26 +313,26 @@ TEST(CampaignCache, ConcurrentFirstMissConverges) {
   for (std::thread& t : threads) t.join();
   for (int i = 1; i < kThreads; ++i) EXPECT_EQ(dumps[size_t(i)], dumps[0]);
 
-  const desc::CacheStats warm = statsOf("hw.machine");
-  EXPECT_GE(warm.misses, 1u);  // losers of the race may build extra copies
+  const desc::CacheStats warm = memoStats();
+  EXPECT_GE(warm.misses, 2u);  // deep-er and xeon-phi-knl, plus race losers
   (void)hw::machinePreset("deep-er");
-  const desc::CacheStats after = statsOf("hw.machine");
+  const desc::CacheStats after = memoStats();
   EXPECT_EQ(after.misses, warm.misses);  // warm lookup builds nothing
   EXPECT_EQ(after.hits, warm.hits + 1);
 }
 
-// Disabling the cache must bypass lookups entirely (fresh construction).
-TEST(CampaignCache, DisabledCacheConstructsFresh) {
-  CacheGuard cacheGuard;
-  desc::setConstructionCacheEnabled(true);
+// Callers get copies: editing what a preset accessor returned must never
+// reach the memoized object the next caller copies from.
+TEST(CampaignCache, EditedCopyLeavesPresetIntact) {
   desc::clearConstructionCaches();
-  (void)hw::machinePreset("deep-er");
-  const desc::CacheStats warm = statsOf("hw.machine");
-  desc::setConstructionCacheEnabled(false);
-  (void)hw::machinePreset("deep-er");
-  const desc::CacheStats off = statsOf("hw.machine");
-  EXPECT_EQ(off.hits, warm.hits);
-  EXPECT_EQ(off.misses, warm.misses);
+  const std::string cold = desc::dump(hw::toDesc(hw::machinePreset("deep-er")));
+  hw::MachineConfig m = hw::MachineConfig::deepEr(3, 0);  // warm hit
+  m.name = "edited";
+  m.groups.front().count = 1;
+  m.groups.front().cpu.cores = 1;
+  m.switches.clear();
+  EXPECT_EQ(desc::dump(hw::toDesc(hw::machinePreset("deep-er"))), cold);
+  EXPECT_GT(memoStats().hits, 0u);
 }
 
 TEST(Report, JsonEscapesAndStructure) {
