@@ -1,5 +1,6 @@
 #include "xpic/driver.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -24,17 +25,29 @@ constexpr int kTagFields = 10;
 constexpr int kTagMoments = 11;
 constexpr int kTagClusterStats = 12;
 
-std::vector<double> packInterior(const Grid2D& g,
-                                 std::initializer_list<const Field2D*> fs) {
-  std::vector<double> out;
-  out.reserve(fs.size() * static_cast<std::size_t>(g.lnx()) *
-              static_cast<std::size_t>(g.lny()));
+/// Allocates one inter-module buffer for `fields` interior arrays, padded
+/// to the production-xPic payload size (cfg.interfaceDoublesPerCell per
+/// local cell) so the simulated exchange carries the full 3D multi-species
+/// 10-moment interface volume.  Each rank allocates its buffers once;
+/// packing rewrites only the leading fields x cells doubles, so the zero
+/// padding is written once.
+std::vector<double> interfaceBuffer(const Grid2D& g, const XpicConfig& cfg,
+                                    std::size_t fields) {
+  const std::size_t packed = fields * static_cast<std::size_t>(g.lnx()) *
+                             static_cast<std::size_t>(g.lny());
+  const std::size_t target = static_cast<std::size_t>(
+      cfg.interfaceDoublesPerCell * g.lnx() * g.lny());
+  return std::vector<double>(std::max(packed, target), 0.0);
+}
+
+void packInterior(const Grid2D& g, std::span<double> out,
+                  std::initializer_list<const Field2D*> fs) {
+  std::size_t k = 0;
   for (const Field2D* f : fs) {
     for (int j = 1; j <= g.lny(); ++j) {
-      for (int i = 1; i <= g.lnx(); ++i) out.push_back(f->at(i, j));
+      for (int i = 1; i <= g.lnx(); ++i, ++k) out[k] = f->at(i, j);
     }
   }
-  return out;
 }
 
 void unpackInterior(const Grid2D& g, std::span<const double> in,
@@ -47,24 +60,14 @@ void unpackInterior(const Grid2D& g, std::span<const double> in,
   }
 }
 
-/// Pads a packed interface buffer to the production-xPic payload size
-/// (cfg.interfaceDoublesPerCell per local cell) so the simulated exchange
-/// carries the full 3D multi-species 10-moment interface volume.
-void padInterface(std::vector<double>& buf, const Grid2D& g,
-                  const XpicConfig& cfg) {
-  const std::size_t target = static_cast<std::size_t>(
-      cfg.interfaceDoublesPerCell * g.lnx() * g.lny());
-  if (buf.size() < target) buf.resize(target, 0.0);
-}
-
-std::vector<double> packEM(const Grid2D& g, const FieldArrays& f) {
-  return packInterior(g, {&f.ex, &f.ey, &f.ez, &f.bx, &f.by, &f.bz});
+void packEM(const Grid2D& g, const FieldArrays& f, std::span<double> out) {
+  packInterior(g, out, {&f.ex, &f.ey, &f.ez, &f.bx, &f.by, &f.bz});
 }
 void unpackEM(const Grid2D& g, std::span<const double> in, FieldArrays& f) {
   unpackInterior(g, in, {&f.ex, &f.ey, &f.ez, &f.bx, &f.by, &f.bz});
 }
-std::vector<double> packMoments(const Grid2D& g, const FieldArrays& f) {
-  return packInterior(g, {&f.rho, &f.jx, &f.jy, &f.jz, &f.chi});
+void packMoments(const Grid2D& g, const FieldArrays& f, std::span<double> out) {
+  packInterior(g, out, {&f.rho, &f.jx, &f.jy, &f.jz, &f.chi});
 }
 void unpackMoments(const Grid2D& g, std::span<const double> in,
                    FieldArrays& f) {
@@ -193,21 +196,18 @@ void boosterMain(Env& env, const XpicConfig& cfg, int nodesPerSolver,
     env.tracePhase(name, s0);
   };
 
-  // Initial moments feed the Cluster's first calculateE.
+  // Initial moments feed the Cluster's first calculateE.  momSend is
+  // re-packed only once the previous send on it has completed.
+  std::vector<double> momSend = interfaceBuffer(grid, cfg, 5);
   phase(t.particles, "particles", [&] { ps.particleMoments(f, halo, env); });
-  {
-    auto mom = packMoments(grid, f);
-    padInterface(mom, grid, cfg);
-    env.send(inter, peer, kTagMoments, std::span<const double>(mom));
-  }
+  packMoments(grid, f, momSend);
+  env.send(inter, peer, kTagMoments, std::span<const double>(momSend));
 
-  std::vector<double> emBuf(6 * static_cast<std::size_t>(cells));
-  padInterface(emBuf, grid, cfg);
+  std::vector<double> emBuf = interfaceBuffer(grid, cfg, 6);
   pmpi::Request recvFields =
       env.irecv(inter, peer, kTagFields, std::span<double>(emBuf));
 
   for (int step = 0; step < cfg.steps; ++step) {
-    std::vector<double> mom;
     pmpi::Request sendMoments;
     phase(t.sync, "sync", [&] { env.wait(recvFields); });  // ClusterWait
     phase(t.particles, "particles", [&] {
@@ -218,10 +218,9 @@ void boosterMain(Env& env, const XpicConfig& cfg, int nodesPerSolver,
       ps.migrate(env, env.world());
       ps.particleMoments(f, halo, env);
       env.compute(workmodel::interfaceCopy(cells));  // cpyToArr_M
-      mom = packMoments(grid, f);
-      padInterface(mom, grid, cfg);
-      sendMoments =
-          env.issend(inter, peer, kTagMoments, std::span<const double>(mom));
+      packMoments(grid, f, momSend);
+      sendMoments = env.issend(inter, peer, kTagMoments,
+                               std::span<const double>(momSend));
       if (step + 1 < cfg.steps) {
         recvFields = env.irecv(inter, peer, kTagFields, std::span<double>(emBuf));
       }
@@ -291,21 +290,20 @@ void clusterMain(Env& env, const XpicConfig& cfg) {
     env.tracePhase(name, s0);
   };
 
-  std::vector<double> momBuf(5 * static_cast<std::size_t>(cells));
-  padInterface(momBuf, grid, cfg);
+  std::vector<double> momBuf = interfaceBuffer(grid, cfg, 5);
   env.recv(up, peer, kTagMoments, std::span<double>(momBuf));
   unpackMoments(grid, momBuf, f);
 
+  // Re-packed only once the previous step's send on it has completed.
+  std::vector<double> emSend = interfaceBuffer(grid, cfg, 6);
   for (int step = 0; step < cfg.steps; ++step) {
-    std::vector<double> em;
     pmpi::Request sendFields, recvMoments;
     phase(t.fields, "fields", [&] {
       fs.calculateE(f, halo, env, env.world());
       env.compute(workmodel::interfaceCopy(cells));  // cpyToArr_F
-      em = packEM(grid, f);
-      padInterface(em, grid, cfg);
+      packEM(grid, f, emSend);
       sendFields =
-          env.issend(up, peer, kTagFields, std::span<const double>(em));
+          env.issend(up, peer, kTagFields, std::span<const double>(emSend));
       recvMoments = env.irecv(up, peer, kTagMoments, std::span<double>(momBuf));
     });
     // Auxiliary computations + output staging overlap the exchange

@@ -7,6 +7,9 @@
 // (Markidis et al., the paper's ref [15]).
 
 #include <array>
+#include <cstddef>
+#include <span>
+#include <vector>
 
 #include "xpic/grid.hpp"
 
@@ -25,12 +28,35 @@ struct FieldArrays {
         rho(g.lnx(), g.lny()), jx(g.lnx(), g.lny()), jy(g.lnx(), g.lny()),
         jz(g.lnx(), g.lny()), chi(g.lnx(), g.lny()) {}
 
-  void clearMoments() {
-    rho.fill(0.0);
-    jx.fill(0.0);
-    jy.fill(0.0);
-    jz.fill(0.0);
-    chi.fill(0.0);
+  /// Doubles per padded cell of the particle kernels' interleaved blocks:
+  /// [ex ey ez bx by bz] for the mover, [rho jx jy jz chi] for deposition.
+  static constexpr std::size_t kEMStride = 6;
+  static constexpr std::size_t kMomentStride = 5;
+
+  /// Writes E and B interleaved per padded cell (ghosts included) into
+  /// `block` (resized to kEMStride * padded cells; reuse it across calls).
+  void interleaveEM(std::vector<double>& block) const {
+    const std::array<const Field2D*, kEMStride> fs = {&ex, &ey, &ez,
+                                                      &bx, &by, &bz};
+    const std::size_t cells = ex.raw().size();
+    block.resize(kEMStride * cells);
+    for (std::size_t c = 0; c < cells; ++c) {
+      for (std::size_t k = 0; k < kEMStride; ++k) {
+        block[kEMStride * c + k] = fs[k]->raw()[c];
+      }
+    }
+  }
+
+  /// Overwrites every padded cell of the moment fields from an interleaved
+  /// [rho jx jy jz chi] block.
+  void storeMoments(std::span<const double> block) {
+    const std::array<Field2D*, kMomentStride> fs = momentFields();
+    const std::size_t cells = rho.raw().size();
+    for (std::size_t c = 0; c < cells; ++c) {
+      for (std::size_t k = 0; k < kMomentStride; ++k) {
+        fs[k]->raw()[c] = block[kMomentStride * c + k];
+      }
+    }
   }
 
   /// Local (interior) electromagnetic energy, 0.5 * sum(E^2 + B^2) dV.

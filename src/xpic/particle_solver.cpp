@@ -32,8 +32,9 @@ ParticleSolver::ParticleSolver(const XpicConfig& cfg, const Grid2D& g,
 }
 
 void ParticleSolver::particlesMove(const FieldArrays& f, pmpi::Env& env) {
+  f.interleaveEM(em_);
   for (Species& s : species_) {
-    s.move(f, g_);
+    s.move(em_, g_);
     env.compute(workmodel::mover(
         static_cast<double>(s.count()) * cfg_.particleScale(),
         cfg_.moverIterations));
@@ -76,12 +77,15 @@ void ParticleSolver::migrate(pmpi::Env& env, pmpi::Comm comm) {
 
 void ParticleSolver::particleMoments(FieldArrays& f, HaloExchanger& halo,
                                      pmpi::Env& env) {
-  f.clearMoments();
+  // Species deposit in turn onto one zeroed block: every cell sums in
+  // particle order, species by species, the order the pinned results fix.
+  moments_.assign(FieldArrays::kMomentStride * f.rho.raw().size(), 0.0);
   double scaled = 0;
   for (const Species& s : species_) {
-    s.deposit(f, g_);
+    s.deposit(moments_, g_);
     scaled += static_cast<double>(s.count()) * cfg_.particleScale();
   }
+  f.storeMoments(moments_);
   halo.accumulate({&f.rho, &f.jx, &f.jy, &f.jz, &f.chi});
   env.compute(workmodel::moments(scaled));
 }

@@ -38,6 +38,9 @@ class ParticleSolver {
   XpicConfig cfg_;
   const Grid2D& g_;
   std::vector<Species> species_;
+  // Interleaved per-cell blocks shared by every species' kernel call
+  // (FieldArrays::interleaveEM / storeMoments layouts).
+  std::vector<double> em_, moments_;
 };
 
 }  // namespace cbsim::xpic

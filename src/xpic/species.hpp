@@ -39,14 +39,16 @@ class Species {
   void initThermal(const Grid2D& g, sim::Rng& rng);
 
   /// Implicit moment mover (predictor-corrector, cfg.moverIterations
-  /// sweeps) against E, B (ghosts must be valid).  Applies the global
-  /// periodic wrap; block ownership is restored by collectLeavers().
-  void move(const FieldArrays& f, const Grid2D& g);
+  /// sweeps) against a FieldArrays::interleaveEM block of E, B (ghosts
+  /// must be valid).  Applies the global periodic wrap; block ownership is
+  /// restored by collectLeavers().
+  void move(std::span<const double> em, const Grid2D& g);
 
-  /// CIC deposition of rho, J, and the implicit susceptibility chi into
-  /// the padded arrays (ghost contributions included; caller runs the
-  /// reverse halo afterwards).
-  void deposit(FieldArrays& f, const Grid2D& g) const;
+  /// CIC deposition of rho, J, and the implicit susceptibility chi, added
+  /// into an interleaved [rho jx jy jz chi] block of the padded cells
+  /// (ghost contributions included; the caller stores it with
+  /// FieldArrays::storeMoments and runs the reverse halo afterwards).
+  void deposit(std::span<double> moments, const Grid2D& g) const;
 
   /// Removes particles that left the local block and packs them as
   /// [x y u v w]* per direction (8 neighbour directions, index

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -131,6 +133,69 @@ TEST(Determinism, Fig8TinyReportIdenticalAcrossJobCounts) {
   EXPECT_EQ(campaign::toCsv(r1), campaign::toCsv(r8));
   EXPECT_EQ(r8.jobsUsed, 8);
   EXPECT_EQ(r1.failedCount(), 0);
+}
+
+// The C+B interface buffers are allocated once per rank and re-packed in
+// place, but the exchange must stay production-sized on the wire: the
+// padded interface (XpicConfig::interfaceDoublesPerCell per cell) is what
+// makes its transfers rendezvous-sized and what the fabric times.  Pins the
+// fig8-tiny C+B worlds' fabric traffic, protocol split and every report
+// value, bit for bit, to the values of per-step freshly padded buffers.
+TEST(WireTraffic, Fig8TinyClusterBoosterPinned) {
+  struct Pin {
+    const char* name;
+    double messages, bytes, rendezvous, eager;
+    Values values;
+  };
+  const std::vector<Pin> pins = {
+      {"fig8/C+B/n1",
+       34, 272560, 11, 1,
+       {
+        {"aux_sec", 0.0005690597499999972}, {"cg_iterations", 15.0},
+        {"field_comm_sec", 0.00010336591600000177},
+        {"field_energy", 1.311829636983049},
+        {"fields_sec", 0.0003662270900000016},
+        {"kinetic_energy", 11.255565936141782},
+        {"momentum_x", 25.621225862794887},
+        {"net_charge", -1.726618847897044e-14},
+        {"particle_comm_sec", 0.005508226799999999},
+        {"particle_count", 1024.0}, {"particles_sec", 0.002372755516000002},
+        {"sync_sec", 0.0021034371379999982}, {"wall_sec", 0.008521748393}}},
+      {"fig8/C+B/n8",
+       3694, 840236, 80, 3454,
+       {
+        {"aux_sec", 0.0005690171499999983}, {"cg_iterations", 15.0},
+        {"field_comm_sec", 0.00040252611200001023},
+        {"field_energy", 1.3118296369830493},
+        {"fields_sec", 0.0003655144739999963},
+        {"kinetic_energy", 11.255565936141771},
+        {"momentum_x", 25.621225862794898},
+        {"net_charge", -1.0769163338864018e-14},
+        {"particle_comm_sec", 0.00937576708300015}, {"particle_count", 1024.0},
+        {"particles_sec", 0.0026963107390000005},
+        {"sync_sec", 0.0024197777410000024}, {"wall_sec", 0.012425139901}}},
+  };
+  const CampaignReport rep = campaign::runCampaign(
+      campaign::builtinCampaign("fig8-tiny"), campaign::withJobs(2));
+  for (const Pin& pin : pins) {
+    const auto it = std::find_if(
+        rep.scenarios.begin(), rep.scenarios.end(),
+        [&](const campaign::ScenarioResult& s) { return s.name == pin.name; });
+    ASSERT_NE(it, rep.scenarios.end()) << pin.name;
+    ASSERT_TRUE(it->error.empty()) << pin.name << ": " << it->error;
+    EXPECT_EQ(it->metrics.at("fabric.messages"), pin.messages) << pin.name;
+    EXPECT_EQ(it->metrics.at("fabric.bytes"), pin.bytes) << pin.name;
+    EXPECT_EQ(it->metrics.at("pmpi.sends.rendezvous"), pin.rendezvous)
+        << pin.name;
+    EXPECT_EQ(it->metrics.at("pmpi.sends.eager"), pin.eager) << pin.name;
+    ASSERT_EQ(it->values.size(), pin.values.size()) << pin.name;
+    for (const auto& [key, want] : pin.values) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(it->values.at(key)),
+                std::bit_cast<std::uint64_t>(want))
+          << pin.name << " " << key << ": " << it->values.at(key) << " vs "
+          << want;
+    }
+  }
 }
 
 TEST(Determinism, ResilienceReportIdenticalAcrossJobCounts) {

@@ -1,12 +1,18 @@
 // xPic tests: decomposition and grid math, interpolation/deposition,
-// single-particle physics (gyromotion, uniform-field acceleration),
-// migration bookkeeping, halo exchange across ranks, field-solver
-// convergence, and full-run invariants in all three execution modes.
+// single-particle physics (gyromotion, uniform-field acceleration), the
+// exact-bits oracle for the particle kernels, migration bookkeeping, halo
+// exchange across ranks, field-solver convergence, and full-run invariants
+// in all three execution modes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <string>
+#include <vector>
 
 #include "xpic/driver.hpp"
 #include "xpic/field_solver.hpp"
@@ -101,6 +107,14 @@ TEST(Interpolate, LinearFieldIsExact) {
 
 // ---- Single-particle physics -------------------------------------------------------
 
+/// One mover step against `f`, through the interleaved block the
+/// ParticleSolver builds.
+void moveOnce(Species& s, const FieldArrays& f, const Grid2D& g) {
+  std::vector<double> em;
+  f.interleaveEM(em);
+  s.move(em, g);
+}
+
 XpicConfig singleParticleCfg() {
   XpicConfig cfg = XpicConfig::tiny();
   cfg.dt = 0.05;
@@ -119,7 +133,7 @@ TEST(Species, GyromotionConservesSpeedExactly) {
   Species s(p, cfg);
   s.addParticle(cfg.lx / 2, cfg.ly / 2, 0.02, 0.0, 0.0);
   const double v0 = 0.02;
-  for (int i = 0; i < 200; ++i) s.move(f, g);
+  for (int i = 0; i < 200; ++i) moveOnce(s, f, g);
   const double ke = s.kineticEnergy();
   const double v = std::sqrt(2 * ke / (p.mass * s.weight()));
   EXPECT_NEAR(v, v0, 1e-12);  // the rotation form is norm-preserving
@@ -143,7 +157,7 @@ TEST(Species, GyroPeriodMatchesCyclotronFrequency) {
   int steps = 0;
   int firstCrossing = 0;
   while (crossings < 3 && steps < 10000) {
-    s.move(f, g);
+    moveOnce(s, f, g);
     ++steps;
     const double nu = s.us()[0];
     if ((prevU < 0) != (nu < 0)) {
@@ -168,7 +182,7 @@ TEST(Species, UniformEFieldAcceleratesExactly) {
   Species s(p, cfg);
   s.addParticle(cfg.lx / 2, cfg.ly / 2, 0.0, 0.0, 0.0);
   const int n = 50;
-  for (int i = 0; i < n; ++i) s.move(f, g);
+  for (int i = 0; i < n; ++i) moveOnce(s, f, g);
   const double expected = p.charge / p.mass * 0.01 * cfg.dt * n;
   const double pz = s.momentum(2) / (p.mass * s.weight());
   EXPECT_NEAR(pz, expected, std::abs(expected) * 1e-10);
@@ -186,7 +200,9 @@ TEST(Species, DepositConservesCharge) {
   Species s(p, cfg);
   sim::Rng rng(3);
   s.initThermal(g, rng);
-  s.deposit(f, g);
+  std::vector<double> moments(FieldArrays::kMomentStride * f.rho.raw().size());
+  s.deposit(moments, g);
+  f.storeMoments(moments);
   // Single rank: fold the ghost deposits back in (periodic).
   double total = 0;
   for (int j = 0; j <= g.lny() + 1; ++j) {
@@ -195,6 +211,279 @@ TEST(Species, DepositConservesCharge) {
   const double dV = g.dx() * g.dy();
   EXPECT_NEAR(total * dV, s.chargeTotal(), 1e-9);
   EXPECT_GT(f.chi.interiorSum(), 0.0);  // susceptibility is positive
+}
+
+// ---- Exact-bits oracle ----------------------------------------------------------
+//
+// The scalar per-field mover and deposit that the interleaved, grouped
+// kernels replaced, kept here as the reference.  Every golden and pinned
+// benchmark output depends on the kernels reproducing these bit for bit: same
+// operations in the same order, particles visited in the same order.
+
+namespace scalar_ref {
+
+struct Stencil {
+  int i, j;
+  double wx, wy;
+};
+
+Stencil stencilAt(const Grid2D& g, double x, double y) {
+  const double gx = x / g.dx() - 0.5;
+  const double gy = y / g.dy() - 0.5;
+  const int gi = static_cast<int>(std::floor(gx));
+  const int gj = static_cast<int>(std::floor(gy));
+  Stencil s;
+  s.i = gi - g.x0() + 1;
+  s.j = gj - g.y0() + 1;
+  s.wx = gx - gi;
+  s.wy = gy - gj;
+  EXPECT_TRUE(s.i >= 0 && s.i <= g.lnx() && s.j >= 0 && s.j <= g.lny())
+      << "stencil outside the ghost ring at (" << x << ", " << y << ")";
+  return s;
+}
+
+double gather(const Field2D& f, const Stencil& s) {
+  return (1 - s.wx) * (1 - s.wy) * f.at(s.i, s.j) +
+         s.wx * (1 - s.wy) * f.at(s.i + 1, s.j) +
+         (1 - s.wx) * s.wy * f.at(s.i, s.j + 1) +
+         s.wx * s.wy * f.at(s.i + 1, s.j + 1);
+}
+
+void scatter(Field2D& f, const Stencil& s, double v) {
+  f.at(s.i, s.j) += (1 - s.wx) * (1 - s.wy) * v;
+  f.at(s.i + 1, s.j) += s.wx * (1 - s.wy) * v;
+  f.at(s.i, s.j + 1) += (1 - s.wx) * s.wy * v;
+  f.at(s.i + 1, s.j + 1) += s.wx * s.wy * v;
+}
+
+double wrap(double v, double period) {
+  if (v >= period) return v - period;
+  if (v < 0) return v + period;
+  return v;
+}
+
+/// One species' particles, unpacked from Species::packAll().
+struct Particles {
+  std::vector<double> x, y, u, v, w;
+
+  explicit Particles(const Species& s) {
+    const std::vector<double> all = s.packAll();
+    for (std::size_t k = 0; k < all.size(); k += 5) {
+      x.push_back(all[k]);
+      y.push_back(all[k + 1]);
+      u.push_back(all[k + 2]);
+      v.push_back(all[k + 3]);
+      w.push_back(all[k + 4]);
+    }
+  }
+  [[nodiscard]] std::vector<double> packAll() const {
+    std::vector<double> out;
+    for (std::size_t k = 0; k < x.size(); ++k) {
+      out.insert(out.end(), {x[k], y[k], u[k], v[k], w[k]});
+    }
+    return out;
+  }
+};
+
+void move(Particles& p, const SpeciesParams& sp, const XpicConfig& cfg,
+          const FieldArrays& f, const Grid2D& g) {
+  const double dt = cfg.dt;
+  const double qdt2m = sp.charge * dt / (2.0 * sp.mass);
+  const int iters = std::max(1, cfg.moverIterations);
+  for (std::size_t k = 0; k < p.x.size(); ++k) {
+    double xb = p.x[k], yb = p.y[k];
+    double ub = p.u[k], vb = p.v[k], wb = p.w[k];
+    for (int it = 0; it < iters; ++it) {
+      const Stencil s = stencilAt(g, xb, yb);
+      const double ex = gather(f.ex, s), ey = gather(f.ey, s), ez = gather(f.ez, s);
+      const double bx = gather(f.bx, s), by = gather(f.by, s), bz = gather(f.bz, s);
+      const double vx = p.u[k] + qdt2m * ex;
+      const double vy = p.v[k] + qdt2m * ey;
+      const double vz = p.w[k] + qdt2m * ez;
+      const double tx = qdt2m * bx, ty = qdt2m * by, tz = qdt2m * bz;
+      const double tsq = tx * tx + ty * ty + tz * tz;
+      const double vdt = vx * tx + vy * ty + vz * tz;
+      const double inv = 1.0 / (1.0 + tsq);
+      ub = (vx + (vy * tz - vz * ty) + vdt * tx) * inv;
+      vb = (vy + (vz * tx - vx * tz) + vdt * ty) * inv;
+      wb = (vz + (vx * ty - vy * tx) + vdt * tz) * inv;
+      xb = p.x[k] + 0.5 * dt * ub;
+      yb = p.y[k] + 0.5 * dt * vb;
+    }
+    p.u[k] = 2.0 * ub - p.u[k];
+    p.v[k] = 2.0 * vb - p.v[k];
+    p.w[k] = 2.0 * wb - p.w[k];
+    p.x[k] = wrap(p.x[k] + dt * ub, g.lxGlobal());
+    p.y[k] = wrap(p.y[k] + dt * vb, g.lyGlobal());
+  }
+}
+
+void deposit(const Particles& p, const SpeciesParams& sp, double weight,
+             const XpicConfig& cfg, FieldArrays& f, const Grid2D& g) {
+  const double invDV = 1.0 / (cfg.dx() * cfg.dy());
+  const double qw = sp.charge * weight * invDV;
+  const double chiw = sp.charge * sp.charge / sp.mass * weight * invDV * 0.5 *
+                      (cfg.theta * cfg.dt) * (cfg.theta * cfg.dt);
+  for (std::size_t k = 0; k < p.x.size(); ++k) {
+    const Stencil s = stencilAt(g, p.x[k], p.y[k]);
+    scatter(f.rho, s, qw);
+    scatter(f.jx, s, qw * p.u[k]);
+    scatter(f.jy, s, qw * p.v[k]);
+    scatter(f.jz, s, qw * p.w[k]);
+    scatter(f.chi, s, chiw);
+  }
+}
+
+}  // namespace scalar_ref
+
+/// Index of the first element whose bits differ, or -1.
+long long firstBitMismatch(const std::vector<double>& a,
+                           const std::vector<double>& b) {
+  if (a.size() != b.size()) return 0;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    if (std::bit_cast<std::uint64_t>(a[k]) != std::bit_cast<std::uint64_t>(b[k])) {
+      return static_cast<long long>(k);
+    }
+  }
+  return -1;
+}
+
+/// Electrons and (heavier, positive) ions, the ParticleSolver's two species.
+std::array<SpeciesParams, 2> oracleSpecies() {
+  SpeciesParams e;
+  e.id = 0;
+  e.charge = -1.0;
+  e.mass = 1.0;
+  e.perCell = 2;
+  SpeciesParams i = e;
+  i.id = 1;
+  i.charge = 1.0;
+  i.mass = 64.0;
+  return {e, i};
+}
+
+/// `n` seeded particles in g's block, a third of them near its edges.
+void seedPopulation(Species& s, const Grid2D& g, std::size_t n,
+                    std::uint64_t seed) {
+  sim::Rng rng(seed);
+  for (std::size_t k = 0; k < n; ++k) {
+    double x = g.xMin() + rng.uniform() * (g.xMax() - g.xMin());
+    double y = g.yMin() + rng.uniform() * (g.yMax() - g.yMin());
+    double u = 0.1 * rng.normal(), v = 0.1 * rng.normal();
+    const double w = 0.1 * rng.normal();
+    if (k % 3 == 1) {
+      // Within one cell of a block edge; every third of these sits 0.01
+      // inside it moving outward at 0.3, so its half-step position (0.5 dt
+      // |u| = 0.015 away at dt = 0.1) is in the ghost ring.
+      const bool high = rng.uniform() < 0.5;
+      const bool outward = k % 9 == 1;
+      const double inset = outward ? 0.01 : rng.uniform() * g.dx();
+      const double speed = high ? 0.3 : -0.3;
+      if (k % 2 == 0) {
+        x = high ? g.xMax() - inset : g.xMin() + inset;
+        if (outward) u = speed;
+      } else {
+        y = high ? g.yMax() - inset : g.yMin() + inset;
+        if (outward) v = speed;
+      }
+    }
+    s.addParticle(x, y, u, v, w);
+  }
+}
+
+/// Random E, B over every padded cell (ghosts included), strong enough that
+/// every term of the rotation matters.
+void seedFields(FieldArrays& f, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  for (Field2D* fld : {&f.ex, &f.ey, &f.ez}) {
+    for (double& v : fld->raw()) v = 0.05 * rng.normal();
+  }
+  for (Field2D* fld : {&f.bx, &f.by, &f.bz}) {
+    for (double& v : fld->raw()) v = 0.5 * rng.normal();
+  }
+}
+
+/// Runs `steps` mover+deposit steps of both species through the kernels and
+/// through the scalar reference and requires bit-identical particles and
+/// moments after every step.
+void expectKernelsMatchReference(const XpicConfig& cfg, const Grid2D& g,
+                                 std::size_t n, int steps,
+                                 const std::string& what) {
+  FieldArrays f(g);
+  seedFields(f, n + 17);
+  std::vector<double> em;
+  f.interleaveEM(em);
+  const auto params = oracleSpecies();
+  std::vector<Species> kernel;
+  std::vector<scalar_ref::Particles> ref;
+  for (std::size_t sp = 0; sp < params.size(); ++sp) {
+    kernel.emplace_back(params[sp], cfg);
+    seedPopulation(kernel.back(), g, n, 1000 * n + sp);
+    ref.emplace_back(kernel.back());
+  }
+  for (int step = 0; step < steps; ++step) {
+    const std::string at = what + " step " + std::to_string(step);
+    FieldArrays refMoments(g);
+    std::vector<double> block(FieldArrays::kMomentStride * f.rho.raw().size(),
+                              0.0);
+    for (std::size_t sp = 0; sp < params.size(); ++sp) {
+      kernel[sp].move(em, g);
+      scalar_ref::move(ref[sp], params[sp], cfg, f, g);
+      EXPECT_EQ(firstBitMismatch(kernel[sp].packAll(), ref[sp].packAll()), -1)
+          << at << " species " << sp << ": [x y u v w] differ";
+      // The second species deposits on top of the first.
+      kernel[sp].deposit(block, g);
+      scalar_ref::deposit(ref[sp], params[sp], kernel[sp].weight(), cfg,
+                          refMoments, g);
+    }
+    FieldArrays stored(g);
+    stored.storeMoments(block);
+    const char* names[] = {"rho", "jx", "jy", "jz", "chi"};
+    const auto got = stored.momentFields();
+    const auto want = refMoments.momentFields();
+    for (std::size_t m = 0; m < got.size(); ++m) {
+      EXPECT_EQ(firstBitMismatch(got[m]->raw(), want[m]->raw()), -1)
+          << at << ": moment " << names[m] << " differs";
+    }
+  }
+}
+
+TEST(KernelOracle, MoverAndDepositMatchScalarReferenceBitForBit) {
+  const XpicConfig cfg = XpicConfig::tiny();
+  // One rank: the global wrap keeps every particle on the block, and
+  // half-step positions past the domain edge land in the ghost ring.
+  const Grid2D whole(cfg, 1, 0);
+  // An interior block of a 4x4 decomposition: every edge is a rank edge.
+  const Grid2D interior(cfg, 16, 5);
+  ASSERT_GT(interior.xMin(), 0.0);
+  ASSERT_LT(interior.xMax(), interior.lxGlobal());
+  ASSERT_GT(interior.yMin(), 0.0);
+  ASSERT_LT(interior.yMax(), interior.lyGlobal());
+  for (const std::size_t n : {0u, 1u, 3u, 4u, 5u, 4u * 97u + 3u}) {
+    expectKernelsMatchReference(cfg, whole, n, 6,
+                                "1 rank, n=" + std::to_string(n));
+    expectKernelsMatchReference(cfg, interior, n, 4,
+                                "interior block, n=" + std::to_string(n));
+  }
+}
+
+TEST(KernelOracle, InterpolateMatchesScalarGather) {
+  const XpicConfig cfg = XpicConfig::tiny();
+  const Grid2D g(cfg, 16, 5);
+  FieldArrays f(g);
+  seedFields(f, 3);
+  sim::Rng rng(9);
+  for (int k = 0; k < 200; ++k) {
+    // Anywhere the stencil stays inside the ghost ring.
+    const double x = g.xMin() - 0.49 * g.dx() +
+                     rng.uniform() * (g.xMax() - g.xMin() + 0.98 * g.dx());
+    const double y = g.yMin() - 0.49 * g.dy() +
+                     rng.uniform() * (g.yMax() - g.yMin() + 0.98 * g.dy());
+    const double want = scalar_ref::gather(f.bz, scalar_ref::stencilAt(g, x, y));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(xpic::interpolate(f.bz, g, x, y)),
+              std::bit_cast<std::uint64_t>(want))
+        << "at (" << x << ", " << y << ")";
+  }
 }
 
 // ---- Migration bookkeeping ----------------------------------------------------------
