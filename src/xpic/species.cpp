@@ -1,49 +1,106 @@
 #include "xpic/species.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstring>
 
 namespace cbsim::xpic {
 
 namespace {
 
-/// Bilinear stencil around (x, y): the padded index of the base cell (i, j)
-/// and the weights of the corners (i,j), (i+1,j), (i,j+1), (i+1,j+1) — the
-/// order in which every gather sums and every scatter adds.
-struct Stencil {
-  std::size_t cell;
-  std::array<double, 4> w;
+constexpr std::size_t L = Species::kMoverLanes;
+
+/// One double (LaneD) or int (LaneI) per particle of a group, and two
+/// doubles (Pair).  GCC/clang vector extensions: lane-wise arithmetic
+/// compiles to packed SSE2 on baseline x86-64 (wider vectors are split into
+/// 16-byte pieces) and rounds each lane exactly like the scalar operation.
+/// Without AVX, passing a vector wider than 16 bytes by value has an ABI
+/// that changed between GCC versions (-Wpsabi), so lane vectors are passed
+/// by reference only.
+using LaneD = double __attribute__((vector_size(L * sizeof(double))));
+using LaneI = int __attribute__((vector_size(L * sizeof(int))));
+using Pair = double __attribute__((vector_size(2 * sizeof(double))));
+
+/// floor(v) of every lane, for finite, int-ranged values.  Each lane is
+/// the scalar truncate-and-adjust: t = trunc(v), minus one where v < t.
+/// (Without SSE4.1's roundpd, GCC expands std::floor into a longer
+/// mask-and-compare sequence.)  GCC 12 splits comparisons of vectors wider
+/// than 16 bytes into scalar compares, so v < t is read from the bits of
+/// d = t - v instead: d is exact, never -0.0, and positive exactly when
+/// 0 - bits(d) has its top bit set.
+void floorLanes(const LaneD& v, LaneD& out) {
+  using LaneU =
+      unsigned long long __attribute__((vector_size(L * sizeof(long long))));
+  const LaneD t =
+      __builtin_convertvector(__builtin_convertvector(v, LaneI), LaneD);
+  const LaneU below = (0 - (LaneU)(t - v)) >> 63;  // 1 where v < t
+  const LaneD one = LaneD{} + 1.0;
+  out = t - (LaneD)((0 - below) & (LaneU)one);
+}
+
+/// Bilinear stencils of L particles: each lane's padded base-cell index
+/// and the weights of its corners (i,j), (i+1,j), (i,j+1), (i+1,j+1) — the
+/// order in which every gather sums and every deposit adds.
+struct LaneStencil {
+  std::array<std::size_t, L> cell{};
+  std::array<LaneD, 4> w{};
+
+  LaneStencil(const Grid2D& g, const LaneD& x, const LaneD& y) {
+    const LaneD gx = x / g.dx() - 0.5;
+    const LaneD gy = y / g.dy() - 0.5;
+    LaneD fx{}, fy{};
+    floorLanes(gx, fx);
+    floorLanes(gy, fy);
+    const LaneD wx = gx - fx;
+    const LaneD wy = gy - fy;
+    // Padded (i, j) = (gi - x0 + 1, gj - y0 + 1); integers well inside
+    // 2^53, so the double arithmetic is exact.
+    const LaneD i = fx - (g.x0() - 1);
+    const LaneD j = fy - (g.y0() - 1);
+    const LaneI c = __builtin_convertvector(j * (g.lnx() + 2) + i, LaneI);
+    for (std::size_t l = 0; l < L; ++l) {
+      assert(i[l] >= 0 && i[l] <= g.lnx() && j[l] >= 0 && j[l] <= g.lny());
+      cell[l] = static_cast<std::size_t>(c[l]);
+    }
+    w = {(1.0 - wx) * (1.0 - wy), wx * (1.0 - wy), (1.0 - wx) * wy, wx * wy};
+  }
+
+  /// Bilinear gather of component `k` of every lane from a block of
+  /// `stride` doubles per padded cell.
+  void gather(const double* block, std::size_t stride, std::size_t row,
+              std::size_t k, LaneD& out) const {
+    std::array<LaneD, 4> c{};
+    for (std::size_t l = 0; l < L; ++l) {
+      const double* p = block + stride * cell[l] + k;
+      c[0][l] = p[0];
+      c[1][l] = p[stride];
+      c[2][l] = p[stride * row];
+      c[3][l] = p[stride * (row + 1)];
+    }
+    out = w[0] * c[0] + w[1] * c[1] + w[2] * c[2] + w[3] * c[3];
+  }
 };
 
-/// std::floor for finite, int-ranged values.  Without SSE4.1's roundsd,
-/// GCC expands std::floor into a longer mask-and-compare sequence; this
-/// truncation returns the same integer and measurably shortens the mover.
-int floorToInt(double v) {
-  const int t = static_cast<int>(v);
-  return v < t ? t - 1 : t;
+/// Lanes [0, live) of `out` from src[0, live); the spare lanes repeat
+/// src[0], a real particle, so their stencils stay on the block.  A full
+/// group is one unaligned vector load: filling lanes one by one goes
+/// through the stack and stalls on store forwarding.
+void loadLanes(const double* src, std::size_t live, LaneD& out) {
+  if (live == L) {
+    std::memcpy(&out, src, sizeof out);
+    return;
+  }
+  for (std::size_t l = 0; l < L; ++l) out[l] = src[l < live ? l : 0];
 }
 
-Stencil stencilAt(const Grid2D& g, double x, double y) {
-  const double gx = x / g.dx() - 0.5;
-  const double gy = y / g.dy() - 0.5;
-  const int gi = floorToInt(gx);
-  const int gj = floorToInt(gy);
-  const double wx = gx - gi;
-  const double wy = gy - gj;
-  const int i = gi - g.x0() + 1;
-  const int j = gj - g.y0() + 1;
-  assert(i >= 0 && i <= g.lnx() && j >= 0 && j <= g.lny());
-  return {static_cast<std::size_t>(j * (g.lnx() + 2) + i),
-          {(1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy}};
-}
-
-/// Bilinear gather of component `k` from a block of `stride` doubles per
-/// padded cell.
-double gather(const double* block, std::size_t stride, std::size_t row,
-              const Stencil& s, std::size_t k) {
-  const double* c = block + stride * s.cell + k;
-  return s.w[0] * c[0] + s.w[1] * c[stride] + s.w[2] * c[stride * row] +
-         s.w[3] * c[stride * (row + 1)];
+/// dst[0, live) from lanes [0, live) of `in`.
+void storeLanes(const LaneD& in, std::size_t live, double* dst) {
+  if (live == L) {
+    std::memcpy(dst, &in, sizeof in);
+    return;
+  }
+  for (std::size_t l = 0; l < live; ++l) dst[l] = in[l];
 }
 
 double wrap(double v, double period) {
@@ -58,63 +115,70 @@ struct MoverStep {
   int iters;
 };
 
-/// Advances the L particles at x..w[0, L).  Each lane runs exactly the
-/// scalar predictor-corrector chain; the lanes are independent, so a group
-/// keeps L divide/gather chains in flight instead of one.
-template <std::size_t L>
-void advance(const Grid2D& g, const MoverStep& m, const double* em, double* x,
-             double* y, double* u, double* v, double* w) {
+/// Advances the `live` <= L particles at x..w[0, live), one per lane.
+/// Each lane runs exactly the scalar predictor-corrector chain.
+void advance(const Grid2D& g, const MoverStep& m, const double* em,
+             std::size_t live, double* x, double* y, double* u, double* v,
+             double* w) {
   constexpr std::size_t S = FieldArrays::kEMStride;
   const auto row = static_cast<std::size_t>(g.lnx() + 2);
-  std::array<double, L> xb, yb, ub, vb, wb;
-  for (std::size_t l = 0; l < L; ++l) {
-    xb[l] = x[l];
-    yb[l] = y[l];
-    ub[l] = u[l];
-    vb[l] = v[l];
-    wb[l] = w[l];
-  }
+  LaneD x0{}, y0{}, u0{}, v0{}, w0{};
+  loadLanes(x, live, x0);
+  loadLanes(y, live, y0);
+  loadLanes(u, live, u0);
+  loadLanes(v, live, v0);
+  loadLanes(w, live, w0);
+  LaneD xb = x0, yb = y0, ub = u0, vb = v0, wb = w0;
   for (int it = 0; it < m.iters; ++it) {
-    for (std::size_t l = 0; l < L; ++l) {
-      const Stencil s = stencilAt(g, xb[l], yb[l]);
-      const double ex = gather(em, S, row, s, 0);
-      const double ey = gather(em, S, row, s, 1);
-      const double ez = gather(em, S, row, s, 2);
-      const double bx = gather(em, S, row, s, 3);
-      const double by = gather(em, S, row, s, 4);
-      const double bz = gather(em, S, row, s, 5);
-      // Exact solution of v~ = v' + v~ x t  with v' = v^n + qdt/2m E,
-      // t = qdt/2m B (the implicit-moment rotation).
-      const double vx = u[l] + m.qdt2m * ex;
-      const double vy = v[l] + m.qdt2m * ey;
-      const double vz = w[l] + m.qdt2m * ez;
-      const double tx = m.qdt2m * bx, ty = m.qdt2m * by, tz = m.qdt2m * bz;
-      const double tsq = tx * tx + ty * ty + tz * tz;
-      const double vdt = vx * tx + vy * ty + vz * tz;
-      const double inv = 1.0 / (1.0 + tsq);
-      ub[l] = (vx + (vy * tz - vz * ty) + vdt * tx) * inv;
-      vb[l] = (vy + (vz * tx - vx * tz) + vdt * ty) * inv;
-      wb[l] = (vz + (vx * ty - vy * tx) + vdt * tz) * inv;
-      // Half-step position for the next field gather; stays within the
-      // ghost ring for CFL-respecting time steps.
-      xb[l] = x[l] + 0.5 * m.dt * ub[l];
-      yb[l] = y[l] + 0.5 * m.dt * vb[l];
-    }
+    const LaneStencil s(g, xb, yb);
+    std::array<LaneD, S> f{};  // ex ey ez bx by bz
+    for (std::size_t k = 0; k < S; ++k) s.gather(em, S, row, k, f[k]);
+    // Exact solution of v~ = v' + v~ x t  with v' = v^n + qdt/2m E,
+    // t = qdt/2m B (the implicit-moment rotation).
+    const LaneD vx = u0 + m.qdt2m * f[0];
+    const LaneD vy = v0 + m.qdt2m * f[1];
+    const LaneD vz = w0 + m.qdt2m * f[2];
+    const LaneD tx = m.qdt2m * f[3], ty = m.qdt2m * f[4], tz = m.qdt2m * f[5];
+    const LaneD tsq = tx * tx + ty * ty + tz * tz;
+    const LaneD vdt = vx * tx + vy * ty + vz * tz;
+    const LaneD inv = 1.0 / (1.0 + tsq);
+    ub = (vx + (vy * tz - vz * ty) + vdt * tx) * inv;
+    vb = (vy + (vz * tx - vx * tz) + vdt * ty) * inv;
+    wb = (vz + (vx * ty - vy * tx) + vdt * tz) * inv;
+    // Half-step position for the next field gather; stays within the
+    // ghost ring for CFL-respecting time steps.
+    xb = x0 + 0.5 * m.dt * ub;
+    yb = y0 + 0.5 * m.dt * vb;
   }
-  for (std::size_t l = 0; l < L; ++l) {
-    u[l] = 2.0 * ub[l] - u[l];
-    v[l] = 2.0 * vb[l] - v[l];
-    w[l] = 2.0 * wb[l] - w[l];
-    x[l] = wrap(x[l] + m.dt * ub[l], g.lxGlobal());
-    y[l] = wrap(y[l] + m.dt * vb[l], g.lyGlobal());
+  storeLanes(2.0 * ub - u0, live, u);
+  storeLanes(2.0 * vb - v0, live, v);
+  storeLanes(2.0 * wb - w0, live, w);
+  const LaneD xn = x0 + m.dt * ub, yn = y0 + m.dt * vb;
+  for (std::size_t l = 0; l < live; ++l) {
+    x[l] = wrap(xn[l], g.lxGlobal());
+    y[l] = wrap(yn[l], g.lyGlobal());
   }
+}
+
+/// c[0, 2) += d, as one packed add.
+void addPair(double* c, const Pair& d) {
+  Pair a{};
+  std::memcpy(&a, c, sizeof a);
+  a += d;
+  std::memcpy(c, &a, sizeof a);
 }
 
 }  // namespace
 
 double interpolate(const Field2D& f, const Grid2D& g, double x, double y) {
-  return gather(f.raw().data(), 1, static_cast<std::size_t>(g.lnx() + 2),
-                stencilAt(g, x, y), 0);
+  // Every lane holds (x, y); lane 0 is the answer.
+  LaneD xs{}, ys{};
+  loadLanes(&x, 1, xs);
+  loadLanes(&y, 1, ys);
+  LaneD out{};
+  LaneStencil(g, xs, ys)
+      .gather(f.raw().data(), 1, static_cast<std::size_t>(g.lnx() + 2), 0, out);
+  return out[0];
 }
 
 Species::Species(SpeciesParams p, const XpicConfig& cfg)
@@ -171,14 +235,10 @@ void Species::move(std::span<const double> em, const Grid2D& g) {
   const MoverStep m{p_.charge * dt_ / (2.0 * p_.mass), dt_, iters_};
   assert(em.size() == FieldArrays::kEMStride *
                           static_cast<std::size_t>((g.lnx() + 2) * (g.lny() + 2)));
-  constexpr std::size_t kGroup = 4;
   const std::size_t n = x_.size();
-  std::size_t k = 0;
-  for (; k + kGroup <= n; k += kGroup) {
-    advance<kGroup>(g, m, em.data(), &x_[k], &y_[k], &u_[k], &v_[k], &w_[k]);
-  }
-  for (; k < n; ++k) {
-    advance<1>(g, m, em.data(), &x_[k], &y_[k], &u_[k], &v_[k], &w_[k]);
+  for (std::size_t k = 0; k < n; k += L) {
+    advance(g, m, em.data(), std::min(L, n - k), &x_[k], &y_[k], &u_[k],
+            &v_[k], &w_[k]);
   }
 }
 
@@ -193,13 +253,28 @@ void Species::deposit(std::span<double> moments, const Grid2D& g) const {
   assert(moments.size() ==
          S * static_cast<std::size_t>((g.lnx() + 2) * (g.lny() + 2)));
   const std::array<std::size_t, 4> corner = {0, S, S * row, S * (row + 1)};
-  for (std::size_t k = 0; k < x_.size(); ++k) {
-    const Stencil s = stencilAt(g, x_[k], y_[k]);
-    const std::array<double, S> val = {qw, qw * u_[k], qw * v_[k],
-                                       qw * w_[k], chiw};
-    double* c = moments.data() + S * s.cell;
-    for (std::size_t q = 0; q < 4; ++q) {
-      for (std::size_t a = 0; a < S; ++a) c[corner[q] + a] += s.w[q] * val[a];
+  const std::size_t n = x_.size();
+  for (std::size_t k = 0; k < n; k += L) {
+    // The group's stencils at once, then each particle's moments in
+    // particle order, so every cell still sums its particles in order.
+    // Packing [rho jx] and [jy jz] keeps each element's product.
+    const std::size_t live = std::min(L, n - k);
+    LaneD xs{}, ys{};
+    loadLanes(&x_[k], live, xs);
+    loadLanes(&y_[k], live, ys);
+    const LaneStencil s(g, xs, ys);
+    for (std::size_t l = 0; l < live; ++l) {
+      const std::size_t p = k + l;
+      const Pair rj = {qw, qw * u_[p]};
+      const Pair yz = {qw * v_[p], qw * w_[p]};
+      double* c = moments.data() + S * s.cell[l];
+      for (std::size_t q = 0; q < 4; ++q) {
+        const double wq = s.w[q][l];
+        double* cq = c + corner[q];
+        addPair(cq, wq * rj);
+        addPair(cq + 2, wq * yz);
+        cq[4] += wq * chiw;
+      }
     }
   }
 }
@@ -218,31 +293,59 @@ std::pair<int, int> Species::dirOffset(int dir) {
 void Species::collectLeavers(const Grid2D& g,
                              std::array<std::vector<double>, 8>& out) {
   const int lnx = g.lnx(), lny = g.lny();
+  const int x0 = g.x0(), y0 = g.y0();
+  // A particle whose cell (gi, gj) lies in the block stays.  That is
+  // exactly the direction code's (0, 0): x0 = cx * lnx, so gi / lnx == cx
+  // there.  Only leavers run the integer divisions.
   std::size_t k = 0;
   while (k < x_.size()) {
-    const int gi = static_cast<int>(x_[k] / g.dx());
-    const int gj = static_cast<int>(y_[k] / g.dy());
-    const int ox = gi / lnx;  // owning block column
-    const int oy = gj / lny;
-    int dx = ox - g.cx();
-    int dy = oy - g.cy();
-    // Shortest periodic block distance.
-    if (dx > g.px() / 2) dx -= g.px();
-    if (dx < -g.px() / 2) dx += g.px();
-    if (dy > g.py() / 2) dy -= g.py();
-    if (dy < -g.py() / 2) dy += g.py();
-    assert(dx >= -1 && dx <= 1 && dy >= -1 && dy <= 1);
-    if (dx == 0 && dy == 0) {
-      ++k;
-      continue;
+    if (k + L <= x_.size()) {
+      // L stayers in a row are L steps of ++k below.
+      LaneD xs{}, ys{};
+      loadLanes(&x_[k], L, xs);
+      loadLanes(&y_[k], L, ys);
+      const LaneI gi = __builtin_convertvector(xs / g.dx(), LaneI);
+      const LaneI gj = __builtin_convertvector(ys / g.dy(), LaneI);
+      // Negative in a lane whose cell lies outside the block (sign bits
+      // rather than comparisons, see floorLanes).
+      const LaneI outside = (gi - x0) | (x0 + lnx - 1 - gi) | (gj - y0) |
+                            (y0 + lny - 1 - gj);
+      bool all = true;
+      for (std::size_t l = 0; l < L; ++l) all = all && outside[l] >= 0;
+      if (all) {
+        k += L;
+        continue;
+      }
     }
-    auto& buf = out[static_cast<std::size_t>(dirIndex(dx, dy))];
-    buf.insert(buf.end(), {x_[k], y_[k], u_[k], v_[k], w_[k]});
-    x_[k] = x_.back(); x_.pop_back();
-    y_[k] = y_.back(); y_.pop_back();
-    u_[k] = u_.back(); u_.pop_back();
-    v_[k] = v_.back(); v_.pop_back();
-    w_[k] = w_.back(); w_.pop_back();
+    for (std::size_t step = 0; step < L && k < x_.size(); ++step) {
+      const int gi = static_cast<int>(x_[k] / g.dx());
+      const int gj = static_cast<int>(y_[k] / g.dy());
+      if (gi >= x0 && gi < x0 + lnx && gj >= y0 && gj < y0 + lny) {
+        ++k;
+        continue;
+      }
+      const int ox = gi / lnx;  // owning block column
+      const int oy = gj / lny;
+      int dx = ox - g.cx();
+      int dy = oy - g.cy();
+      // Shortest periodic block distance.
+      if (dx > g.px() / 2) dx -= g.px();
+      if (dx < -g.px() / 2) dx += g.px();
+      if (dy > g.py() / 2) dy -= g.py();
+      if (dy < -g.py() / 2) dy += g.py();
+      assert(dx >= -1 && dx <= 1 && dy >= -1 && dy <= 1);
+      if (dx == 0 && dy == 0) {
+        ++k;
+        continue;
+      }
+      auto& buf = out[static_cast<std::size_t>(dirIndex(dx, dy))];
+      buf.insert(buf.end(), {x_[k], y_[k], u_[k], v_[k], w_[k]});
+      x_[k] = x_.back(); x_.pop_back();
+      y_[k] = y_.back(); y_.pop_back();
+      u_[k] = u_.back(); u_.pop_back();
+      v_[k] = v_.back(); v_.pop_back();
+      w_[k] = w_.back(); w_.pop_back();
+    }
   }
 }
 

@@ -28,6 +28,10 @@ struct SpeciesParams {
 
 class Species {
  public:
+  /// Particles the kernels process at once, one per vector lane; the
+  /// n % kMoverLanes tail runs as one padded group.
+  static constexpr std::size_t kMoverLanes = 8;
+
   Species(SpeciesParams p, const XpicConfig& cfg);
 
   [[nodiscard]] const SpeciesParams& params() const { return p_; }

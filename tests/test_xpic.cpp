@@ -215,10 +215,11 @@ TEST(Species, DepositConservesCharge) {
 
 // ---- Exact-bits oracle ----------------------------------------------------------
 //
-// The scalar per-field mover and deposit that the interleaved, grouped
-// kernels replaced, kept here as the reference.  Every golden and pinned
-// benchmark output depends on the kernels reproducing these bit for bit: same
-// operations in the same order, particles visited in the same order.
+// The scalar per-field mover and deposit and the per-particle leaver scan
+// that the interleaved, lane-grouped kernels replaced, kept here as the
+// reference.  Every golden and pinned benchmark output depends on the
+// kernels reproducing these bit for bit: same operations in the same order,
+// particles visited in the same order.
 
 namespace scalar_ref {
 
@@ -331,6 +332,36 @@ void deposit(const Particles& p, const SpeciesParams& sp, double weight,
     scatter(f.jy, s, qw * p.v[k]);
     scatter(f.jz, s, qw * p.w[k]);
     scatter(f.chi, s, chiw);
+  }
+}
+
+void collectLeavers(Particles& p, const Grid2D& g,
+                    std::array<std::vector<double>, 8>& out) {
+  const int lnx = g.lnx(), lny = g.lny();
+  std::size_t k = 0;
+  while (k < p.x.size()) {
+    const int gi = static_cast<int>(p.x[k] / g.dx());
+    const int gj = static_cast<int>(p.y[k] / g.dy());
+    const int ox = gi / lnx;  // owning block column
+    const int oy = gj / lny;
+    int dx = ox - g.cx();
+    int dy = oy - g.cy();
+    // Shortest periodic block distance.
+    if (dx > g.px() / 2) dx -= g.px();
+    if (dx < -g.px() / 2) dx += g.px();
+    if (dy > g.py() / 2) dy -= g.py();
+    if (dy < -g.py() / 2) dy += g.py();
+    EXPECT_TRUE(dx >= -1 && dx <= 1 && dy >= -1 && dy <= 1);
+    if (dx == 0 && dy == 0) {
+      ++k;
+      continue;
+    }
+    auto& buf = out[static_cast<std::size_t>(Species::dirIndex(dx, dy))];
+    buf.insert(buf.end(), {p.x[k], p.y[k], p.u[k], p.v[k], p.w[k]});
+    for (std::vector<double>* c : {&p.x, &p.y, &p.u, &p.v, &p.w}) {
+      (*c)[k] = c->back();
+      c->pop_back();
+    }
   }
 }
 
@@ -459,7 +490,11 @@ TEST(KernelOracle, MoverAndDepositMatchScalarReferenceBitForBit) {
   ASSERT_LT(interior.xMax(), interior.lxGlobal());
   ASSERT_GT(interior.yMin(), 0.0);
   ASSERT_LT(interior.yMax(), interior.lyGlobal());
-  for (const std::size_t n : {0u, 1u, 3u, 4u, 5u, 4u * 97u + 3u}) {
+  // Both sides of every lane-group boundary, and a long run ending in a
+  // padded group of L-1.
+  constexpr std::size_t L = Species::kMoverLanes;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, L - 1, L, L + 1,
+                              2 * L, 97 * L + L - 1}) {
     expectKernelsMatchReference(cfg, whole, n, 6,
                                 "1 rank, n=" + std::to_string(n));
     expectKernelsMatchReference(cfg, interior, n, 4,
@@ -483,6 +518,80 @@ TEST(KernelOracle, InterpolateMatchesScalarGather) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(xpic::interpolate(f.bz, g, x, y)),
               std::bit_cast<std::uint64_t>(want))
         << "at (" << x << ", " << y << ")";
+  }
+}
+
+/// Particles exactly on g's block edges and corners and half a cell past
+/// them in every direction, wrapped into the periodic domain, each after a
+/// seeded run of 0 to 2L-1 particles inside the block: leavers land in
+/// every lane of a group and whole groups stay.
+void seedLeaverPopulation(Species& s, const Grid2D& g, std::uint64_t seed) {
+  constexpr std::size_t L = Species::kMoverLanes;
+  sim::Rng rng(seed);
+  // Draws in statement order, so every compiler seeds the same population.
+  const auto add = [&](double x, double y) {
+    const double u = rng.normal();
+    const double v = rng.normal();
+    s.addParticle(x, y, u, v, rng.normal());
+  };
+  const auto inside = [&] {
+    const double x = g.xMin() + rng.uniform() * (g.xMax() - g.xMin());
+    add(x, g.yMin() + rng.uniform() * (g.yMax() - g.yMin()));
+  };
+  // Wraps past-the-edge offsets; a point exactly on the domain edge stays.
+  const auto wrapped = [](double v, double period) {
+    return v < 0 ? v + period : (v > period ? v - period : v);
+  };
+  const std::vector<double> xs = {
+      g.xMin() - 0.5 * g.dx(), g.xMin(), g.xMin() + 0.5 * g.dx(),
+      g.xMax() - 0.5 * g.dx(), g.xMax(), g.xMax() + 0.5 * g.dx()};
+  const std::vector<double> ys = {
+      g.yMin() - 0.5 * g.dy(), g.yMin(), g.yMin() + 0.5 * g.dy(),
+      g.yMax() - 0.5 * g.dy(), g.yMax(), g.yMax() + 0.5 * g.dy()};
+  for (const double x : xs) {
+    for (const double y : ys) {
+      const auto run = static_cast<std::size_t>(rng.uniform() * 2 * L);
+      for (std::size_t k = 0; k < run; ++k) inside();
+      add(wrapped(x, g.lxGlobal()), wrapped(y, g.lyGlobal()));
+    }
+  }
+  for (std::size_t k = 0; k < 3 * L + 1; ++k) inside();
+}
+
+TEST(KernelOracle, CollectLeaversMatchesScalarReference) {
+  const XpicConfig cfg = XpicConfig::tiny();
+  struct Case {
+    Grid2D g;
+    const char* what;
+    bool leavers;  ///< whether every direction must receive particles
+  };
+  const Case cases[] = {
+      // Every position is on the one block; x == lx wraps back onto it.
+      {Grid2D(cfg, 1, 0), "1 rank", false},
+      {Grid2D(cfg, 16, 5), "interior block of 4x4", true},
+      // Leavers past xMin/yMin cross the periodic wrap.
+      {Grid2D(cfg, 16, 0), "corner block of 4x4", true},
+  };
+  for (const Case& c : cases) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const std::string at =
+          std::string(c.what) + ", seed " + std::to_string(seed);
+      Species kernel(oracleSpecies()[0], cfg);
+      seedLeaverPopulation(kernel, c.g, seed);
+      scalar_ref::Particles ref(kernel);
+      std::array<std::vector<double>, 8> got, want;
+      kernel.collectLeavers(c.g, got);
+      scalar_ref::collectLeavers(ref, c.g, want);
+      for (std::size_t dir = 0; dir < 8; ++dir) {
+        EXPECT_EQ(firstBitMismatch(got[dir], want[dir]), -1)
+            << at << ": direction " << dir << " differs";
+        if (c.leavers) {
+          EXPECT_FALSE(got[dir].empty()) << at << ": direction " << dir;
+        }
+      }
+      EXPECT_EQ(firstBitMismatch(kernel.packAll(), ref.packAll()), -1)
+          << at << ": surviving particles differ";
+    }
   }
 }
 
