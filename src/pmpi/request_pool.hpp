@@ -2,22 +2,30 @@
 
 // Arena storage for the pmpi message engine's per-operation state.
 //
-// RequestPool — generation-checked free list over a std::deque of slots
-// behind the Request handle (types.hpp).  Replaces one
-// shared_ptr<RequestState> heap allocation (plus control block) per
-// nonblocking operation with slot recycling: steady state allocates
-// nothing, a slot's address survives growth (deque), and the pool's
-// footprint is the high-water mark of concurrently live operations, not
-// the operation count.  Live requests are threaded on an intrusive
-// per-owner list so a dying rank's slots are reclaimed in
-// O(live-on-that-rank), never by scanning the pool.
+// SlotPool — generation-checked free list over a std::deque of slots,
+// behind a (slot, generation) handle.  Steady state allocates nothing, a
+// slot's address survives growth (deque), the pool's footprint is the
+// high-water mark of concurrently live slots, and a stale handle resolves
+// to nullptr instead of dangling.  Live slots are threaded on an
+// intrusive per-owner list so a dying rank's slots are reclaimed in
+// O(live-on-that-rank), never by scanning the pool.  Two pools use it:
+//   - RequestPool: every nonblocking operation (RequestState), owned by
+//     the rank that posted it;
+//   - EagerPool: every eager payload in flight (EagerSlot), owned by its
+//     destination rank.
 //
-// PayloadArena — per-destination-rank storage for in-flight eager
-// payloads.  A payload is copied in at send time and referenced by
-// (offset, length); blocks are recycled by exact size while traffic is in
-// flight and the whole arena resets to offset zero whenever it drains,
-// so the arena's size tracks peak concurrent eager bytes, not cumulative
-// traffic.
+// PayloadArena — per-destination-rank storage for eager payload
+// snapshots.  An eager payload is not copied at send time: its EagerSlot
+// points at the sender's buffer, which MPI keeps valid and unmodified
+// until the send is reported complete.  Only when the Runtime first
+// reports the send done to the sender (wait/test), or is about to cancel
+// the sender (killJob), are the bytes copied into the destination's arena
+// and referenced by (offset, length).  A receive that matches earlier
+// copies straight from the sender's buffer, so a halo consumed before its
+// sender waits moves once, like a real eager protocol's single copy.
+// Blocks are recycled by exact size and the arena resets to offset zero
+// whenever it drains, so its size tracks peak concurrent snapshotted
+// bytes, not cumulative traffic.
 
 #include <algorithm>
 #include <cstddef>
@@ -30,35 +38,63 @@
 
 namespace cbsim::pmpi {
 
-/// In-flight nonblocking operation.
-struct RequestState {
-  bool done = false;
-  bool isRecv = false;
-  Status status;
-
-  // Receive side: posted filter + destination buffer.
-  int commId = -1;
-  int srcFilter = AnySource;
-  int tagFilter = AnyTag;
-  Bytes recvBuf;
-
-  // Send side (rendezvous): the source buffer must stay valid until done.
-  ConstBytes sendBuf;
-
-  // Pool bookkeeping (RequestPool only).
+/// Bookkeeping every pooled slot carries (SlotPool only).
+struct PooledSlot {
   std::uint32_t gen = 1;       ///< bumped on release; matches live handles
   int ownerProc = -1;          ///< proc whose drain reclaims this slot
   std::uint32_t prevOwned = 0xffffffffu;  ///< intrusive per-owner list
   std::uint32_t nextOwned = 0xffffffffu;
 };
 
-class RequestPool {
+/// Handle of an EagerSlot; like Request, generation 0 is the null handle.
+struct EagerRef {
+  std::uint32_t idx = 0;
+  std::uint32_t gen = 0;
+  [[nodiscard]] constexpr bool valid() const { return gen != 0; }
+};
+
+/// In-flight nonblocking operation.
+struct RequestState : PooledSlot {
+  bool done = false;
+  bool isRecv = false;
+  // Send side (eager): the payload's slot while it still reads the send
+  // buffer; cleared once the payload is snapshotted.  (Declared here, it
+  // fills padding: the slot stays 88 bytes.)
+  EagerRef eager;
+  int commId = -1;
+  Status status;
+
+  // Receive side: posted filter + destination buffer.
+  int srcFilter = AnySource;
+  int tagFilter = AnyTag;
+  Bytes recvBuf;
+
+  // Send side (rendezvous): the source buffer must stay valid until done.
+  ConstBytes sendBuf;
+};
+
+/// One eager payload in flight; ownerProc is the destination rank.
+struct EagerSlot : PooledSlot {
+  enum class Source : std::uint8_t {
+    Sender,    ///< bytes still in the sender's buffer (`src`)
+    Arena,     ///< snapshotted into the destination's PayloadArena
+    Orphaned,  ///< sender exited without completing the send: no bytes
+  };
+  Source source = Source::Sender;
+  std::uint32_t arenaOff = 0;
+  ConstBytes src;  ///< the sender's buffer; only its size is read unless
+                   ///< source == Sender
+};
+
+template <typename Slot, typename Handle>
+class SlotPool {
  public:
   static constexpr std::uint32_t kNone = 0xffffffffu;
 
-  /// Takes a slot (recycled or fresh), resets its operation fields, links
-  /// it at the head of the owner's intrusive list, and returns its handle.
-  Request allocate(int ownerProc, std::uint32_t& ownerHead) {
+  /// Takes a slot (recycled or fresh), links it at the head of the
+  /// owner's intrusive list, and returns its handle.  Released slots were
+  /// reset, so every field but the bookkeeping holds its default.
+  Handle allocate(int ownerProc, std::uint32_t& ownerHead) {
     std::uint32_t idx;
     if (freeHead_ != kNone) {
       idx = freeHead_;
@@ -67,45 +103,37 @@ class RequestPool {
       idx = static_cast<std::uint32_t>(slots_.size());
       slots_.emplace_back();
     }
-    RequestState& s = slots_[idx];
-    const std::uint32_t gen = s.gen;
-    s = RequestState{};  // reset operation fields
-    s.gen = gen;
+    Slot& s = slots_[idx];
     s.ownerProc = ownerProc;
     s.prevOwned = kNone;
     s.nextOwned = ownerHead;
     if (ownerHead != kNone) slots_[ownerHead].prevOwned = idx;
     ownerHead = idx;
     ++live_;
-    return Request{idx, gen};
+    return Handle{idx, s.gen};
   }
 
-  /// Live state behind `h`, or nullptr for a null or stale (already
+  /// Live slot behind `h`, or nullptr for a null or stale (already
   /// released) handle.
-  [[nodiscard]] RequestState* find(Request h) {
+  [[nodiscard]] Slot* find(Handle h) {
     if (!h.valid() || h.idx >= slots_.size()) return nullptr;
-    RequestState& s = slots_[h.idx];
+    Slot& s = slots_[h.idx];
     return s.gen == h.gen ? &s : nullptr;
   }
-  [[nodiscard]] const RequestState* find(Request h) const {
-    return const_cast<RequestPool*>(this)->find(h);
-  }
 
-  /// Live state behind `h`; throws on a stale handle (callers that hold a
+  /// Live slot behind `h`; throws on a stale handle (callers that hold a
   /// request in a matching queue know it is live).
-  [[nodiscard]] RequestState& get(Request h) {
-    RequestState* s = find(h);
-    if (s == nullptr) throw std::logic_error("pmpi: stale request handle");
+  [[nodiscard]] Slot& get(Handle h) {
+    Slot* s = find(h);
+    if (s == nullptr) throw std::logic_error("pmpi: stale slot handle");
     return *s;
   }
-  [[nodiscard]] const RequestState& get(Request h) const {
-    return const_cast<RequestPool*>(this)->get(h);
-  }
 
-  /// Unlinks the slot from its owner list, bumps its generation (stale
-  /// handles stop resolving), and recycles it.  No-op for stale handles.
-  void release(Request h, std::uint32_t& ownerHead) {
-    RequestState* s = find(h);
+  /// Unlinks the slot from its owner list, resets it, bumps its
+  /// generation (stale handles stop resolving), and recycles it.  No-op
+  /// for stale handles.
+  void release(Handle h, std::uint32_t& ownerHead) {
+    Slot* s = find(h);
     if (s == nullptr) return;
     if (s->prevOwned != kNone) {
       slots_[s->prevOwned].nextOwned = s->nextOwned;
@@ -113,9 +141,10 @@ class RequestPool {
       ownerHead = s->nextOwned;
     }
     if (s->nextOwned != kNone) slots_[s->nextOwned].prevOwned = s->prevOwned;
-    if (++s->gen == 0) s->gen = 1;  // 0 is the null-handle generation
-    s->recvBuf = Bytes{};
-    s->sendBuf = ConstBytes{};
+    std::uint32_t gen = s->gen + 1;
+    if (gen == 0) gen = 1;  // 0 is the null-handle generation
+    *s = Slot{};
+    s->gen = gen;
     s->nextOwned = freeHead_;
     freeHead_ = h.idx;
     --live_;
@@ -124,7 +153,15 @@ class RequestPool {
   /// Releases every slot on an owner list (rank drain).
   void releaseAll(std::uint32_t& ownerHead) {
     while (ownerHead != kNone) {
-      release(Request{ownerHead, slots_[ownerHead].gen}, ownerHead);
+      release(Handle{ownerHead, slots_[ownerHead].gen}, ownerHead);
+    }
+  }
+
+  /// Calls fn(slot) for every live slot on an owner list.
+  template <typename Fn>
+  void forEachOwned(std::uint32_t ownerHead, Fn fn) {
+    for (std::uint32_t i = ownerHead; i != kNone; i = slots_[i].nextOwned) {
+      fn(slots_[i]);
     }
   }
 
@@ -132,14 +169,17 @@ class RequestPool {
   [[nodiscard]] std::size_t liveCount() const { return live_; }
   /// Bytes of slot storage (the pool's high-water footprint).
   [[nodiscard]] std::size_t capacityBytes() const {
-    return slots_.size() * sizeof(RequestState);
+    return slots_.size() * sizeof(Slot);
   }
 
  private:
-  std::deque<RequestState> slots_;
+  std::deque<Slot> slots_;
   std::size_t live_ = 0;
   std::uint32_t freeHead_ = kNone;
 };
+
+using RequestPool = SlotPool<RequestState, Request>;
+using EagerPool = SlotPool<EagerSlot, EagerRef>;
 
 class PayloadArena {
  public:
@@ -171,8 +211,7 @@ class PayloadArena {
   /// Returns a block.  When the last outstanding payload drains, the
   /// arena resets to offset zero (capacity retained for the next burst).
   void release(std::uint32_t off, std::uint32_t len) {
-    if (outstanding_ > 0) --outstanding_;  // saturate: brokenDedupForTest
-    if (outstanding_ == 0) {               // double-delivers double-release
+    if (--outstanding_ == 0) {
       buf_.clear();
       freeBlocks_.clear();
       return;

@@ -191,12 +191,17 @@ Request Runtime::postSend(Proc& src, Comm c, int dstRank, int tag,
                     deliverRts(dstIdx, std::move(msg));
                   });
   } else {
-    // Eager: the payload is copied into the *destination* rank's arena at
-    // send time (the simulated copy-out), so the message itself stays a
-    // 48-byte ticket and the send buffer is free immediately.
-    msg.payloadLen = static_cast<std::uint32_t>(data.size());
-    msg.payloadOff = procs_[static_cast<std::size_t>(dstIdx)]
-                         .eagerPayloads.store(data);
+    // Eager: the send completes at once and the message is a 48-byte
+    // ticket.  Its payload stays in the sender's buffer — MPI forbids
+    // touching it until the send is reported done — and is copied into
+    // the destination's arena only if the sender gets it back first
+    // (snapshotEager).  Nobody reads bytes sent to a rank that exited.
+    Proc& dst = procs_[static_cast<std::size_t>(dstIdx)];
+    if (procLive(dst)) {
+      msg.payload = eager_.allocate(dstIdx, dst.ownedEager);
+      eager_.get(msg.payload).src = data;
+      reqState.eager = msg.payload;
+    }
     reqState.done = true;
     transportSend(src.idx, dstIdx,
                   static_cast<double>(data.size()) + params_.headerBytes,
@@ -292,12 +297,9 @@ bool Runtime::tryMatchArrival(Proc& dst, Proc::UnexpectedMsg& msg) {
 void Runtime::deliverEager(int dstProcIdx, Proc::UnexpectedMsg msg) {
   Proc& dst = procs_[static_cast<std::size_t>(dstProcIdx)];
   if (!tryMatchArrival(dst, msg)) {
-    if (!procLive(dst) && msg.payloadLen > 0) {
-      // The rank died (drain resets its arena): nothing will ever consume
-      // this payload, so don't let the late arrival re-pin bytes.
-      dst.eagerPayloads.release(msg.payloadOff, msg.payloadLen);
-      msg.payloadLen = 0;
-    }
+    // The rank exited: nothing will ever consume this payload, so don't
+    // let the late arrival keep its slot or arena bytes.
+    if (!procLive(dst)) dropEager(msg.payload);
     if (obs::Tracer* tr = engine().tracer()) {
       traceQueueDepth(engine(), *tr, "pmpi.unexpected.depth", 1.0);
       traceMsgEvent(engine(), *tr, dst, "msg.unexpected",
@@ -328,22 +330,64 @@ void Runtime::completeEagerRecv(Proc& dst, Request req, Proc::UnexpectedMsg msg)
   const hw::Node& node = machine_.node(dst.nodeId);
   engine().schedule(node.mpiSwOverhead, [this, req, msg]() {
     RequestState* rs = requests_.find(req);
-    if (rs == nullptr) return;  // receiver drained; arena was reset with it
+    if (rs == nullptr) return;  // receiver drained; its payloads went too
     Proc& owner = procs_[static_cast<std::size_t>(rs->ownerProc)];
     // The rank may have been cancelled (failure injection) between the
     // match and this completion; its receive buffer lives on the unwound
     // stack, so the copy must not happen.
     if (!procLive(owner)) return;
-    if (msg.payloadLen > rs->recvBuf.size()) {
+    if (msg.bytes > rs->recvBuf.size()) {
       throw std::runtime_error("pmpi: eager message truncates receive buffer");
     }
-    if (msg.payloadLen > 0) {
-      std::memcpy(rs->recvBuf.data(), owner.eagerPayloads.at(msg.payloadOff),
-                  msg.payloadLen);
-      owner.eagerPayloads.release(msg.payloadOff, msg.payloadLen);
-    }
-    completeRequest(owner, req, msg.srcRank, msg.tag, msg.payloadLen);
+    consumeEager(owner, msg, rs->recvBuf);
+    completeRequest(owner, req, msg.srcRank, msg.tag, msg.bytes);
   });
+}
+
+void Runtime::consumeEager(Proc& dst, const Proc::UnexpectedMsg& msg,
+                           Bytes out) {
+  EagerSlot* e = eager_.find(msg.payload);
+  // Every payload is consumed at most once, so a stale handle means the
+  // transport handed one frame over twice (only brokenDedupForTest does):
+  // its bytes went to the first receive, and a recycled slot is not read.
+  if (e == nullptr) return;
+  if (e->source == EagerSlot::Source::Orphaned) {
+    dropEager(msg.payload);
+    const Proc& src = procs_[static_cast<std::size_t>(msg.srcProcIdx)];
+    throw std::runtime_error(
+        "pmpi: rank " + std::to_string(src.rank) + " of job " +
+        std::to_string(src.jobId) + " exited with an unfinished isend (tag " +
+        std::to_string(msg.tag) + ", " + std::to_string(msg.bytes) +
+        " bytes) still in flight; its send buffer is gone");
+  }
+  // Same-engine cross-rank read, as in the rendezvous transfer: the
+  // sender is parked, and its buffer is valid until its send is reported
+  // done (snapshotEager runs before that).
+  const std::byte* from = e->source == EagerSlot::Source::Sender
+                              ? e->src.data()
+                              : dst.eagerPayloads.at(e->arenaOff);
+  if (!e->src.empty()) std::memcpy(out.data(), from, e->src.size());
+  dropEager(msg.payload);
+}
+
+void Runtime::dropEager(EagerRef h) {
+  EagerSlot* e = eager_.find(h);
+  if (e == nullptr) return;
+  Proc& dst = procs_[static_cast<std::size_t>(e->ownerProc)];
+  if (e->source == EagerSlot::Source::Arena) {
+    dst.eagerPayloads.release(e->arenaOff,
+                              static_cast<std::uint32_t>(e->src.size()));
+  }
+  eager_.release(h, dst.ownedEager);
+}
+
+void Runtime::snapshotEager(RequestState& send) {
+  EagerSlot* e = eager_.find(send.eager);
+  send.eager = EagerRef{};
+  if (e == nullptr || e->source != EagerSlot::Source::Sender) return;
+  e->arenaOff = procs_[static_cast<std::size_t>(e->ownerProc)]
+                    .eagerPayloads.store(e->src);
+  e->source = EagerSlot::Source::Arena;
 }
 
 void Runtime::startRendezvousTransfer(Proc& dst, Request req,
@@ -643,6 +687,14 @@ Job& Runtime::startJob(const std::string& appName,
               self->posted.clear();
               self->unexpected.clear();
               self->eagerPayloads.reset();
+              rt->eager_.releaseAll(self->ownedEager);
+              // An eager send this rank never completed still points into
+              // its (now unwound) frames: no receive may read it.
+              rt->requests_.forEachOwned(
+                  self->ownedRequests, [&eager = rt->eager_](RequestState& s) {
+                    EagerSlot* e = eager.find(s.eager);
+                    if (e != nullptr) e->source = EagerSlot::Source::Orphaned;
+                  });
               rt->requests_.releaseAll(self->ownedRequests);
               obs::Tracer* tr = rt->engine().tracer();
               if (tr != nullptr && self->sproc != nullptr) {
@@ -711,7 +763,13 @@ Comm Runtime::spawnJob(Proc& root, Comm over, const std::string& appName,
 void Runtime::killJob(int jobId) {
   for (const int pi : job(jobId).procIdx) {
     Proc& p = procs_[static_cast<std::size_t>(pi)];
-    if (p.sproc != nullptr && p.sproc->live()) engine().cancel(*p.sproc);
+    if (!procLive(p)) continue;
+    // The victim's buffers die with its stack, but what it already sent
+    // eagerly was sent: receivers still get those bytes.
+    requests_.forEachOwned(p.ownedRequests, [this](RequestState& s) {
+      if (s.eager.valid()) snapshotEager(s);
+    });
+    engine().cancel(*p.sproc);
   }
 }
 

@@ -59,15 +59,17 @@ struct Proc {
   Comm parent;       ///< intercomm to the spawning job, if any
 
   /// Compact enough (48 bytes) that the transport closures carrying one
-  /// stay inside sim::EventFn's inline buffer — the eager payload lives in
-  /// the destination's PayloadArena, referenced by (offset, length).
+  /// stay inside sim::EventFn's inline buffer.  An eager message carries
+  /// no bytes, only a handle to its EagerSlot in Runtime::eager_: the
+  /// payload is read from the sender's buffer, or from this rank's
+  /// eagerPayloads once the sender was allowed to touch that buffer again.
   struct UnexpectedMsg {
     int commId;
     int srcRank;
     int tag;
     std::size_t bytes;
-    std::uint32_t payloadOff = 0;  ///< into the dst proc's eagerPayloads
-    std::uint32_t payloadLen = 0;  ///< 0 for rendezvous (no eager payload)
+    EagerRef payload;              ///< eager only; null for rendezvous
+                                   ///< and for sends to an exited rank
     bool rendezvous = false;
     int srcProcIdx = -1;           ///< rendezvous: who to CTS
     Request sendReq;               ///< rendezvous: sender's request
@@ -77,11 +79,14 @@ struct Proc {
                 "one must fit sim::EventFn's inline buffer");
   MatchFifo<UnexpectedMsg> unexpected;
   MatchFifo<Request> posted;
-  /// In-flight eager payloads addressed to this rank.
+  /// Snapshots of eager payloads addressed to this rank whose senders
+  /// completed the send, or were killed, before a receive consumed them.
   PayloadArena eagerPayloads;
-  /// Head of this rank's live requests in Runtime::requests_ (intrusive
-  /// list); drained in O(live) when the rank dies.
+  /// Heads of this rank's live slots in Runtime::requests_ (requests it
+  /// posted) and Runtime::eager_ (payloads addressed to it); intrusive
+  /// lists, drained in O(live) when the rank dies.
   std::uint32_t ownedRequests = RequestPool::kNone;
+  std::uint32_t ownedEager = EagerPool::kNone;
 
   // Accounting for the paper's overhead metric (section IV-C: 3-4% MPI
   // overhead per solver) — maintained by Env.
@@ -198,6 +203,9 @@ class Runtime {
     std::size_t procSlabBytes = 0;       ///< ranks x sizeof(Proc)
     std::size_t requestSlots = 0;        ///< pool high-water slot count
     std::size_t requestPoolBytes = 0;    ///< slots x sizeof(RequestState)
+    /// Eager payload snapshots only (sends the sender completed, or was
+    /// killed during, before the receive consumed them); a payload read
+    /// straight from the sender's buffer never touches an arena.
     std::size_t payloadArenaBytes = 0;   ///< sum of per-rank arena capacity
     std::size_t payloadArenaPeakBytes = 0;  ///< sum of per-rank arena peaks
     std::size_t matchQueueBytes = 0;     ///< posted+unexpected backing stores
@@ -206,6 +214,11 @@ class Runtime {
     std::size_t channelBytes = 0;        ///< channels x sizeof(map entry)
   };
   [[nodiscard]] MemoryStats memoryStats() const;
+  /// Eager payloads sent and not yet consumed or reclaimed; 0 once every
+  /// rank of every job has exited.
+  [[nodiscard]] std::size_t eagerPayloadsInFlight() const {
+    return eager_.liveCount();
+  }
 
   /// Aggregate time accounting over a job's ranks.
   struct JobTimes {
@@ -313,21 +326,35 @@ class Runtime {
   /// posted receive against the unexpected queue.
   bool tryMatchArrival(Proc& dst, Proc::UnexpectedMsg& msg);
   void completeEagerRecv(Proc& dst, Request req, Proc::UnexpectedMsg msg);
+  /// Copies an eager payload into `out` and frees its slot.  A stale
+  /// handle copies nothing; an orphaned payload throws.
+  void consumeEager(Proc& dst, const Proc::UnexpectedMsg& msg, Bytes out);
+  /// Frees an eager payload's slot (and its arena block) unread.
+  void dropEager(EagerRef h);
+  /// Copies a send's payload out of the sender's buffer into the
+  /// destination's arena, if a receive has not consumed it yet: called
+  /// whenever the sender may next touch its buffer.
+  void snapshotEager(RequestState& send);
   void startRendezvousTransfer(Proc& dst, Request req, Proc::UnexpectedMsg msg);
   static bool matches(const RequestState& r, const Proc::UnexpectedMsg& m);
   void completeRequest(Proc& owner, Request req, int srcRank, int tag,
                        std::size_t bytes);
 
   // ---- Request pool access (Env) -------------------------------------------
-  [[nodiscard]] bool requestDone(Request r) const {
-    const RequestState* s = requests_.find(r);
-    return s == nullptr || s->done;  // stale handle = completed and reclaimed
+  /// Reporting a send done hands its buffer back to the sender, so an
+  /// eager payload still read from that buffer is snapshotted first.
+  [[nodiscard]] bool requestDone(Request r) {
+    RequestState* s = requests_.find(r);
+    if (s == nullptr) return true;  // stale handle = completed and reclaimed
+    if (s->done && s->eager.valid()) snapshotEager(*s);
+    return s->done;
   }
   /// Returns the slot of a done request to the pool (stale handles are a
   /// no-op) and hands back its Status — read before the slot is recycled.
   Status finishRequest(Request r) {
     RequestState* s = requests_.find(r);
     if (s == nullptr) return Status{};
+    if (s->eager.valid()) snapshotEager(*s);
     const Status st = s->status;
     requests_.release(r, procs_[static_cast<std::size_t>(s->ownerProc)]
                              .ownedRequests);
@@ -358,6 +385,8 @@ class Runtime {
   /// Request slots for every rank's in-flight operations (see Request in
   /// types.hpp for the handle semantics).
   RequestPool requests_;
+  /// Every eager payload between its send and its consumption.
+  EagerPool eager_;
   std::deque<Job> jobs_;  // deque: stable references across growth
   std::deque<CommInfo> comms_;  // deque: stable references across growth
   // Comm interning happens a handful of times per job (launch/split).

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fault/plan.hpp"
@@ -947,6 +949,193 @@ TEST(PmpiMatchOrder, ReverseDrainSurvivesQueueCompaction) {
   w.rt.launch("drain", hw::NodeKind::Cluster, 2);
   w.run();
   EXPECT_EQ(checked, kMsgs);
+}
+
+// ---- Eager payloads: bytes move when the sender may touch its buffer ------------
+
+/// A recognisable payload; `salt` tells the original from an overwrite.
+std::vector<std::uint64_t> pattern(std::uint64_t salt) {
+  std::vector<std::uint64_t> v(64);
+  for (std::size_t i = 0; i < v.size(); ++i) v[i] = salt * 1000 + i;
+  return v;
+}
+
+TEST(EagerDeferral, IsendConsumedBeforeTheSenderWaitsNeverTouchesAnArena) {
+  World w;
+  std::vector<std::uint64_t> got(64, 0);
+  w.registry.add("early", [&](Env& e) {
+    if (e.rank() == 0) {
+      e.recv(e.world(), 1, 3, std::span<std::uint64_t>(got));
+    } else {
+      const std::vector<std::uint64_t> buf = pattern(7);
+      const pmpi::Request r =
+          e.isend(e.world(), 0, 3, std::span<const std::uint64_t>(buf));
+      e.computeDelay(1_ms);  // the receive consumes the payload meanwhile
+      e.wait(r);
+    }
+  });
+  w.rt.launch("early", hw::NodeKind::Cluster, 2);
+  w.run();
+  EXPECT_EQ(got, pattern(7));
+  EXPECT_EQ(w.rt.memoryStats().payloadArenaPeakBytes, 0u);
+  EXPECT_EQ(w.rt.eagerPayloadsInFlight(), 0u);
+}
+
+TEST(EagerDeferral, BlockingSendSnapshotsBeforeTheSenderOverwrites) {
+  World w;
+  std::vector<std::uint64_t> got(64, 0);
+  w.registry.add("send", [&](Env& e) {
+    if (e.rank() == 0) {
+      e.computeDelay(1_ms);  // the message waits in the unexpected queue
+      e.recv(e.world(), 1, 3, std::span<std::uint64_t>(got));
+    } else {
+      std::vector<std::uint64_t> buf = pattern(7);
+      e.send(e.world(), 0, 3, std::span<const std::uint64_t>(buf));
+      std::ranges::copy(pattern(9), buf.begin());  // legal: send() returned
+      e.computeDelay(2_ms);
+    }
+  });
+  w.rt.launch("send", hw::NodeKind::Cluster, 2);
+  w.run();
+  EXPECT_EQ(got, pattern(7));
+  EXPECT_EQ(w.rt.memoryStats().payloadArenaPeakBytes, 64 * sizeof(std::uint64_t));
+  EXPECT_EQ(w.rt.eagerPayloadsInFlight(), 0u);
+}
+
+TEST(EagerDeferral, SuccessfulTestSnapshotsBeforeTheSenderOverwrites) {
+  World w;
+  std::vector<std::uint64_t> got(64, 0);
+  w.registry.add("test", [&](Env& e) {
+    if (e.rank() == 0) {
+      e.computeDelay(1_ms);
+      e.recv(e.world(), 1, 3, std::span<std::uint64_t>(got));
+    } else {
+      std::vector<std::uint64_t> buf = pattern(7);
+      const pmpi::Request r =
+          e.isend(e.world(), 0, 3, std::span<const std::uint64_t>(buf));
+      ASSERT_TRUE(e.test(r));  // eager: done at once
+      std::ranges::copy(pattern(9), buf.begin());  // legal: test() said done
+      e.computeDelay(2_ms);
+      e.wait(r);
+    }
+  });
+  w.rt.launch("test", hw::NodeKind::Cluster, 2);
+  w.run();
+  EXPECT_EQ(got, pattern(7));
+}
+
+TEST(EagerDeferral, KilledSendersPayloadStillArrivesIntact) {
+  // The child isends to its parent and is killed before the message even
+  // lands; unwinding scribbles over and frees its buffer.  The parent,
+  // receiving later, must still get the bytes that were sent.
+  World w;
+  std::vector<std::uint64_t> got(64, 0);
+  w.registry.add("parent", [&](Env& e) {
+    const Comm inter = e.commSpawn("child", 1);
+    e.computeDelay(1_ms);
+    e.recv(inter, 0, 3, std::span<std::uint64_t>(got));
+  });
+  w.registry.add("child", [&](Env& e) {
+    std::vector<std::uint64_t> buf = pattern(7);
+    struct Scribble {
+      std::vector<std::uint64_t>& b;
+      ~Scribble() { std::fill(b.begin(), b.end(), ~std::uint64_t{0}); }
+    } scribble{buf};
+    const pmpi::Request r =
+        e.isend(e.parent(), 0, 3, std::span<const std::uint64_t>(buf));
+    // Jobs are numbered in launch order: the parent is 0, this child 1.
+    w.engine.schedule(SimTime::zero(), [&w] { w.rt.killJob(1); });
+    std::uint64_t never = 0;
+    e.recv(e.parent(), 0, 4, std::span<std::uint64_t>(&never, 1));
+    e.wait(r);
+  });
+  w.rt.launch("parent", hw::NodeKind::Cluster, 1);
+  w.run();
+  EXPECT_EQ(got, pattern(7));
+  EXPECT_EQ(w.rt.eagerPayloadsInFlight(), 0u);
+}
+
+TEST(EagerDeferral, KilledRanksAndDeadReceiversLeaveNoSlotBehind) {
+  // Every way a payload can go unread: a receiver that exits with a
+  // message in its unexpected queue, sends to a rank that already
+  // exited, and a killed job whose ranks had sends in flight to each
+  // other and to the exited parent.
+  World w;
+  w.registry.add("parent", [&](Env& e) {
+    const Comm inter = e.commSpawn("kids", 2);
+    e.sendValue(inter, 0, 1, 5);
+    e.computeDelay(1_ms);  // exits with kid 0's message unexpected
+  });
+  w.registry.add("kids", [&](Env& e) {
+    const std::vector<std::uint64_t> buf = pattern(static_cast<std::uint64_t>(e.rank()));
+    const auto bytes = std::span<const std::uint64_t>(buf);
+    std::uint64_t never = 0;
+    if (e.rank() == 0) {
+      (void)e.recvValue<int>(e.parent(), 0, 1);
+      const pmpi::Request r = e.isend(e.parent(), 0, 2, bytes);
+      e.recv(e.world(), 1, 9, std::span<std::uint64_t>(&never, 1));
+      e.wait(r);
+    } else {
+      e.computeDelay(2_ms);  // the parent has exited
+      e.send(e.parent(), 0, 2, bytes);
+      const pmpi::Request r = e.isend(e.world(), 0, 3, bytes);
+      w.engine.schedule(SimTime::zero(), [&w] { w.rt.killJob(1); });
+      e.recv(e.world(), 0, 9, std::span<std::uint64_t>(&never, 1));
+      e.wait(r);
+    }
+  });
+  w.rt.launch("parent", hw::NodeKind::Cluster, 1);
+  w.run();
+  EXPECT_EQ(w.rt.eagerPayloadsInFlight(), 0u);
+  // Only the kill snapshots bulk bytes (kid 1's isend to kid 0); the
+  // send to the exited parent carries no payload at all.
+  EXPECT_EQ(w.rt.memoryStats().payloadArenaPeakBytes,
+            64 * sizeof(std::uint64_t));
+}
+
+TEST(EagerDeferral, DeliveringAnUnfinishedIsendOfAnExitedRankThrows) {
+  // Erroneous program: rank 1 returns while its isend is in flight, so
+  // the buffer the payload points at is gone.  The receive must fail with
+  // an error naming the rank, never read the freed buffer.
+  for (const bool throws : {false, true}) {
+    World w;
+    w.engine.setCollectProcessErrors(true);
+    w.registry.add("leak", [&](Env& e) {
+      if (e.rank() == 0) {
+        e.computeDelay(1_ms);
+        std::vector<std::uint64_t> got(64, 0);
+        e.recv(e.world(), 1, 3, std::span<std::uint64_t>(got));
+      } else {
+        const std::vector<std::uint64_t> buf = pattern(7);
+        (void)e.isend(e.world(), 0, 3, std::span<const std::uint64_t>(buf));
+        if (throws) throw std::runtime_error("app error");
+      }
+    });
+    w.rt.launch("leak", hw::NodeKind::Cluster, 2);
+    try {
+      w.engine.run();
+      ADD_FAILURE() << "delivery of an orphaned payload did not throw";
+    } catch (const std::runtime_error& err) {
+      EXPECT_NE(std::string(err.what()).find("rank 1 of job 0"),
+                std::string::npos)
+          << err.what();
+    }
+  }
+}
+
+TEST(EagerDeferral, RecycledSlotRejectsItsStaleHandle) {
+  // A frame delivered twice (the seeded dedup defect) carries the handle
+  // of a payload its first delivery consumed; once that slot is recycled
+  // for another payload the old handle must not resolve to it.
+  pmpi::EagerPool pool;
+  std::uint32_t head = pmpi::EagerPool::kNone;
+  const pmpi::EagerRef first = pool.allocate(0, head);
+  pool.release(first, head);
+  const pmpi::EagerRef second = pool.allocate(0, head);
+  ASSERT_EQ(second.idx, first.idx);
+  EXPECT_EQ(pool.find(first), nullptr);
+  EXPECT_NE(pool.find(second), nullptr);
+  EXPECT_EQ(pool.liveCount(), 1u);
 }
 
 }  // namespace
