@@ -1,9 +1,9 @@
 #pragma once
 
-// Arena storage for the pmpi message engine's per-operation state.
+// Pooled storage for the pmpi message engine's per-operation state.
 //
 // SlotPool — generation-checked free list over a std::deque of slots,
-// behind a (slot, generation) handle.  Steady state allocates nothing, a
+// behind a (slot, generation) handle.  Steady state allocates no slot, a
 // slot's address survives growth (deque), the pool's footprint is the
 // high-water mark of concurrently live slots, and a stale handle resolves
 // to nullptr instead of dangling.  Live slots are threaded on an
@@ -14,20 +14,15 @@
 //   - EagerPool: every eager payload in flight (EagerSlot), owned by its
 //     destination rank.
 //
-// PayloadArena — per-destination-rank storage for eager payload
-// snapshots.  An eager payload is not copied at send time: its EagerSlot
-// points at the sender's buffer, which MPI keeps valid and unmodified
-// until the send is reported complete.  Only when the Runtime first
-// reports the send done to the sender (wait/test), or is about to cancel
-// the sender (killJob), are the bytes copied into the destination's arena
-// and referenced by (offset, length).  A receive that matches earlier
-// copies straight from the sender's buffer, so a halo consumed before its
-// sender waits moves once, like a real eager protocol's single copy.
-// Blocks are recycled by exact size and the arena resets to offset zero
-// whenever it drains, so its size tracks peak concurrent snapshotted
-// bytes, not cumulative traffic.
+// An eager payload is not copied at send time: its EagerSlot points at
+// the sender's buffer, which MPI keeps valid and unmodified until the send
+// is reported complete.  Only when the Runtime first reports the send done
+// to the sender (wait/test), or is about to cancel the sender (killJob),
+// are the bytes copied into the slot's own `snapshot` vector.  A receive
+// that matches earlier copies straight from the sender's buffer, so a halo
+// consumed before its sender waits moves once, like a real eager
+// protocol's single copy.  Releasing the slot frees its snapshot.
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -75,15 +70,11 @@ struct RequestState : PooledSlot {
 
 /// One eager payload in flight; ownerProc is the destination rank.
 struct EagerSlot : PooledSlot {
-  enum class Source : std::uint8_t {
-    Sender,    ///< bytes still in the sender's buffer (`src`)
-    Arena,     ///< snapshotted into the destination's PayloadArena
-    Orphaned,  ///< sender exited without completing the send: no bytes
-  };
-  Source source = Source::Sender;
-  std::uint32_t arenaOff = 0;
-  ConstBytes src;  ///< the sender's buffer; only its size is read unless
-                   ///< source == Sender
+  bool orphaned = false;  ///< sender exited without completing the send:
+                          ///< `src` points into its unwound frames
+  ConstBytes src;  ///< the payload: the sender's buffer, or `snapshot`
+  std::vector<std::byte> snapshot;  ///< the bytes, once the sender may
+                                    ///< touch its buffer again
 };
 
 template <typename Slot, typename Handle>
@@ -180,66 +171,5 @@ class SlotPool {
 
 using RequestPool = SlotPool<RequestState, Request>;
 using EagerPool = SlotPool<EagerSlot, EagerRef>;
-
-class PayloadArena {
- public:
-  /// Copies `data` into the arena and returns its offset.  Prefers an
-  /// exact-size recycled block (the homogeneous-message common case);
-  /// otherwise bump-extends.
-  std::uint32_t store(ConstBytes data) {
-    const auto len = static_cast<std::uint32_t>(data.size());
-    ++outstanding_;
-    for (std::size_t i = 0; i < freeBlocks_.size(); ++i) {
-      if (freeBlocks_[i].len != len) continue;
-      const std::uint32_t off = freeBlocks_[i].off;
-      freeBlocks_[i] = freeBlocks_.back();
-      freeBlocks_.pop_back();
-      std::copy(data.begin(), data.end(),
-                buf_.begin() + static_cast<std::ptrdiff_t>(off));
-      return off;
-    }
-    const auto off = static_cast<std::uint32_t>(buf_.size());
-    buf_.insert(buf_.end(), data.begin(), data.end());
-    peakBytes_ = buf_.size() > peakBytes_ ? buf_.size() : peakBytes_;
-    return off;
-  }
-
-  [[nodiscard]] const std::byte* at(std::uint32_t off) const {
-    return buf_.data() + off;
-  }
-
-  /// Returns a block.  When the last outstanding payload drains, the
-  /// arena resets to offset zero (capacity retained for the next burst).
-  void release(std::uint32_t off, std::uint32_t len) {
-    if (--outstanding_ == 0) {
-      buf_.clear();
-      freeBlocks_.clear();
-      return;
-    }
-    freeBlocks_.push_back(Block{off, len});
-  }
-
-  /// Drops all storage (rank drain; nothing will be consumed again).
-  void reset() {
-    buf_ = {};
-    freeBlocks_ = {};
-    outstanding_ = 0;
-  }
-
-  [[nodiscard]] std::size_t outstanding() const { return outstanding_; }
-  [[nodiscard]] std::size_t capacityBytes() const { return buf_.capacity(); }
-  [[nodiscard]] std::size_t peakBytes() const { return peakBytes_; }
-
- private:
-  struct Block {
-    std::uint32_t off;
-    std::uint32_t len;
-  };
-
-  std::vector<std::byte> buf_;
-  std::vector<Block> freeBlocks_;
-  std::size_t outstanding_ = 0;
-  std::size_t peakBytes_ = 0;
-};
 
 }  // namespace cbsim::pmpi

@@ -194,7 +194,7 @@ Request Runtime::postSend(Proc& src, Comm c, int dstRank, int tag,
     // Eager: the send completes at once and the message is a 48-byte
     // ticket.  Its payload stays in the sender's buffer — MPI forbids
     // touching it until the send is reported done — and is copied into
-    // the destination's arena only if the sender gets it back first
+    // its slot's snapshot only if the sender gets it back first
     // (snapshotEager).  Nobody reads bytes sent to a rank that exited.
     Proc& dst = procs_[static_cast<std::size_t>(dstIdx)];
     if (procLive(dst)) {
@@ -298,7 +298,7 @@ void Runtime::deliverEager(int dstProcIdx, Proc::UnexpectedMsg msg) {
   Proc& dst = procs_[static_cast<std::size_t>(dstProcIdx)];
   if (!tryMatchArrival(dst, msg)) {
     // The rank exited: nothing will ever consume this payload, so don't
-    // let the late arrival keep its slot or arena bytes.
+    // let the late arrival keep its slot or snapshot.
     if (!procLive(dst)) dropEager(msg.payload);
     if (obs::Tracer* tr = engine().tracer()) {
       traceQueueDepth(engine(), *tr, "pmpi.unexpected.depth", 1.0);
@@ -339,19 +339,18 @@ void Runtime::completeEagerRecv(Proc& dst, Request req, Proc::UnexpectedMsg msg)
     if (msg.bytes > rs->recvBuf.size()) {
       throw std::runtime_error("pmpi: eager message truncates receive buffer");
     }
-    consumeEager(owner, msg, rs->recvBuf);
+    consumeEager(msg, rs->recvBuf);
     completeRequest(owner, req, msg.srcRank, msg.tag, msg.bytes);
   });
 }
 
-void Runtime::consumeEager(Proc& dst, const Proc::UnexpectedMsg& msg,
-                           Bytes out) {
+void Runtime::consumeEager(const Proc::UnexpectedMsg& msg, Bytes out) {
   EagerSlot* e = eager_.find(msg.payload);
   // Every payload is consumed at most once, so a stale handle means the
   // transport handed one frame over twice (only brokenDedupForTest does):
   // its bytes went to the first receive, and a recycled slot is not read.
   if (e == nullptr) return;
-  if (e->source == EagerSlot::Source::Orphaned) {
+  if (e->orphaned) {
     dropEager(msg.payload);
     const Proc& src = procs_[static_cast<std::size_t>(msg.srcProcIdx)];
     throw std::runtime_error(
@@ -360,13 +359,10 @@ void Runtime::consumeEager(Proc& dst, const Proc::UnexpectedMsg& msg,
         std::to_string(msg.tag) + ", " + std::to_string(msg.bytes) +
         " bytes) still in flight; its send buffer is gone");
   }
-  // Same-engine cross-rank read, as in the rendezvous transfer: the
-  // sender is parked, and its buffer is valid until its send is reported
-  // done (snapshotEager runs before that).
-  const std::byte* from = e->source == EagerSlot::Source::Sender
-                              ? e->src.data()
-                              : dst.eagerPayloads.at(e->arenaOff);
-  if (!e->src.empty()) std::memcpy(out.data(), from, e->src.size());
+  // Unless snapshotted, a same-engine cross-rank read, as in the
+  // rendezvous transfer: the sender is parked, and its buffer is valid
+  // until its send is reported done (snapshotEager runs before that).
+  if (!e->src.empty()) std::memcpy(out.data(), e->src.data(), e->src.size());
   dropEager(msg.payload);
 }
 
@@ -374,20 +370,19 @@ void Runtime::dropEager(EagerRef h) {
   EagerSlot* e = eager_.find(h);
   if (e == nullptr) return;
   Proc& dst = procs_[static_cast<std::size_t>(e->ownerProc)];
-  if (e->source == EagerSlot::Source::Arena) {
-    dst.eagerPayloads.release(e->arenaOff,
-                              static_cast<std::uint32_t>(e->src.size()));
-  }
+  dst.snapshotBytes -= e->snapshot.size();
   eager_.release(h, dst.ownedEager);
 }
 
 void Runtime::snapshotEager(RequestState& send) {
   EagerSlot* e = eager_.find(send.eager);
   send.eager = EagerRef{};
-  if (e == nullptr || e->source != EagerSlot::Source::Sender) return;
-  e->arenaOff = procs_[static_cast<std::size_t>(e->ownerProc)]
-                    .eagerPayloads.store(e->src);
-  e->source = EagerSlot::Source::Arena;
+  if (e == nullptr) return;
+  e->snapshot.assign(e->src.begin(), e->src.end());
+  e->src = e->snapshot;
+  Proc& dst = procs_[static_cast<std::size_t>(e->ownerProc)];
+  dst.snapshotBytes += e->snapshot.size();
+  dst.snapshotPeakBytes = std::max(dst.snapshotPeakBytes, dst.snapshotBytes);
 }
 
 void Runtime::startRendezvousTransfer(Proc& dst, Request req,
@@ -670,58 +665,15 @@ Job& Runtime::startJob(const std::string& appName,
     const std::string name = appName + ":j" + std::to_string(job.id) + ":r" +
                              std::to_string(p.rank);
     p.sproc = &engine().spawnAfter(
-        startDelay, name, [this, pi, &main, &job](sim::Context& ctx) {
+        startDelay, name, [this, pi, &main](sim::Context& ctx) {
           Proc& self = procs_[static_cast<std::size_t>(pi)];
+          self.started = true;
           Env env(*this, self, ctx);
           struct Drain {  // runs also when the rank throws or is cancelled
             Runtime* rt;
-            Job* job;
             Proc* self;
-            ~Drain() {
-              // Detach communication state: in-flight messages must never
-              // match a receive whose buffer lived on this (now unwound)
-              // stack — relevant when failure injection cancels ranks.
-              // Reclaim everything the rank pinned: queued messages, eager
-              // payload bytes, and every request slot it still owned (late
-              // completions resolve those handles as stale and bail out).
-              self->posted.clear();
-              self->unexpected.clear();
-              self->eagerPayloads.reset();
-              rt->eager_.releaseAll(self->ownedEager);
-              // An eager send this rank never completed still points into
-              // its (now unwound) frames: no receive may read it.
-              rt->requests_.forEachOwned(
-                  self->ownedRequests, [&eager = rt->eager_](RequestState& s) {
-                    EagerSlot* e = eager.find(s.eager);
-                    if (e != nullptr) e->source = EagerSlot::Source::Orphaned;
-                  });
-              rt->requests_.releaseAll(self->ownedRequests);
-              obs::Tracer* tr = rt->engine().tracer();
-              if (tr != nullptr && self->sproc != nullptr) {
-                // Final per-rank time split for the metrics table.  The run
-                // label keeps same-named ranks of separate runs apart.
-                const std::string key =
-                    tr->runLabel() + "rank[" + self->sproc->name() + "]";
-                obs::Metrics& m = tr->metrics();
-                m.gaugeSet(key + ".compute_sec", self->computeSec);
-                m.gaugeSet(key + ".comm_sec", self->commSec);
-                m.gaugeSet(key + ".io_sec", self->ioSec);
-              }
-              if (--job->liveProcs == 0) {
-                if (job->allocationId >= 0) rt->rm_.release(job->allocationId);
-                if (rt->drainHook_) {
-                  // Deferred to a zero-delay event: the hook may relaunch
-                  // jobs, which must not run while this rank's stack is
-                  // still unwinding.
-                  Runtime* r = rt;
-                  const int id = job->id;
-                  rt->engine().schedule(SimTime::zero(), [r, id] {
-                    if (r->drainHook_) r->drainHook_(id);
-                  });
-                }
-              }
-            }
-          } drain{this, &job, &self};
+            ~Drain() { rt->drainProc(*self); }
+          } drain{this, &self};
           main(env);
         });
   }
@@ -760,6 +712,47 @@ Comm Runtime::spawnJob(Proc& root, Comm over, const std::string& appName,
   return inter;
 }
 
+void Runtime::drainProc(Proc& self) {
+  // Detach communication state: in-flight messages must never match a
+  // receive whose buffer lived on this (now unwound) stack — relevant when
+  // failure injection cancels ranks.  Reclaim everything the rank pinned:
+  // queued messages, eager payloads addressed to it (with their
+  // snapshots), and every request slot it still owned (late completions
+  // resolve those handles as stale and bail out).
+  self.posted.clear();
+  self.unexpected.clear();
+  eager_.releaseAll(self.ownedEager);
+  self.snapshotBytes = 0;
+  // An eager send this rank never completed still points into its (now
+  // unwound) frames: no receive may read it.
+  requests_.forEachOwned(self.ownedRequests, [this](RequestState& s) {
+    EagerSlot* e = eager_.find(s.eager);
+    if (e != nullptr) e->orphaned = true;
+  });
+  requests_.releaseAll(self.ownedRequests);
+  obs::Tracer* tr = engine().tracer();
+  if (tr != nullptr && self.sproc != nullptr) {
+    // Final per-rank time split for the metrics table.  The run label
+    // keeps same-named ranks of separate runs apart.
+    const std::string key = tr->runLabel() + "rank[" + self.sproc->name() + "]";
+    obs::Metrics& m = tr->metrics();
+    m.gaugeSet(key + ".compute_sec", self.computeSec);
+    m.gaugeSet(key + ".comm_sec", self.commSec);
+    m.gaugeSet(key + ".io_sec", self.ioSec);
+  }
+  Job& job = jobs_[static_cast<std::size_t>(self.jobId)];
+  if (--job.liveProcs == 0) {
+    if (job.allocationId >= 0) rm_.release(job.allocationId);
+    if (drainHook_) {
+      // Deferred to a zero-delay event: the hook may relaunch jobs, which
+      // must not run while this rank's stack is still unwinding.
+      engine().schedule(SimTime::zero(), [this, id = job.id] {
+        if (drainHook_) drainHook_(id);
+      });
+    }
+  }
+}
+
 void Runtime::killJob(int jobId) {
   for (const int pi : job(jobId).procIdx) {
     Proc& p = procs_[static_cast<std::size_t>(pi)];
@@ -770,6 +763,13 @@ void Runtime::killJob(int jobId) {
       if (s.eager.valid()) snapshotEager(s);
     });
     engine().cancel(*p.sproc);
+    // A rank cancelled before its first resume never runs its body, so
+    // its drain guard never fires: drain it here, and detach its process
+    // so the rank reads as exited from now on.
+    if (!p.started) {
+      drainProc(p);
+      p.sproc = nullptr;
+    }
   }
 }
 
@@ -792,8 +792,8 @@ Runtime::MemoryStats Runtime::memoryStats() const {
   m.requestSlots = requests_.slotCount();
   m.requestPoolBytes = requests_.capacityBytes();
   for (const Proc& p : procs_) {
-    m.payloadArenaBytes += p.eagerPayloads.capacityBytes();
-    m.payloadArenaPeakBytes += p.eagerPayloads.peakBytes();
+    m.payloadArenaBytes += p.snapshotBytes;
+    m.payloadArenaPeakBytes += p.snapshotPeakBytes;
     m.matchQueueBytes += p.unexpected.capacityBytes() + p.posted.capacityBytes();
     m.matchQueuePeakEntries += p.unexpected.peakSize() + p.posted.peakSize();
   }

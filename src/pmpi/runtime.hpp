@@ -54,15 +54,16 @@ struct Proc {
   int rank = -1;     ///< rank within the job's world
   int nodeId = -1;
   int threads = 1;   ///< OpenMP-style threads this rank may use
-  sim::Process* sproc = nullptr;
+  bool started = false;  ///< its body ran (so its drain guard will fire)
+  sim::Process* sproc = nullptr;  ///< null once drained before it started
   Comm world;
   Comm parent;       ///< intercomm to the spawning job, if any
 
   /// Compact enough (48 bytes) that the transport closures carrying one
   /// stay inside sim::EventFn's inline buffer.  An eager message carries
   /// no bytes, only a handle to its EagerSlot in Runtime::eager_: the
-  /// payload is read from the sender's buffer, or from this rank's
-  /// eagerPayloads once the sender was allowed to touch that buffer again.
+  /// payload is read from the sender's buffer, or from the slot's own
+  /// snapshot once the sender was allowed to touch that buffer again.
   struct UnexpectedMsg {
     int commId;
     int srcRank;
@@ -79,9 +80,11 @@ struct Proc {
                 "one must fit sim::EventFn's inline buffer");
   MatchFifo<UnexpectedMsg> unexpected;
   MatchFifo<Request> posted;
-  /// Snapshots of eager payloads addressed to this rank whose senders
-  /// completed the send, or were killed, before a receive consumed them.
-  PayloadArena eagerPayloads;
+  /// Bytes of eager payloads addressed to this rank that were snapshotted
+  /// (their senders completed the send, or were killed, before a receive
+  /// consumed them): live now, and the most ever live at once.
+  std::size_t snapshotBytes = 0;
+  std::size_t snapshotPeakBytes = 0;
   /// Heads of this rank's live slots in Runtime::requests_ (requests it
   /// posted) and Runtime::eager_ (payloads addressed to it); intrusive
   /// lists, drained in O(live) when the rank dies.
@@ -196,18 +199,18 @@ class Runtime {
 
   /// Footprint of the hot per-rank state — what "a world of N ranks" costs
   /// beyond the application's own buffers.  All values are structural
-  /// (element counts x sizeof, capacities and peaks — never allocator
-  /// internals or instantaneous contents), so they are
-  /// byte-identical across process backends and worker counts.
+  /// (element counts x sizeof, capacities and peaks) or simulated state
+  /// (snapshot bytes still held) — never allocator internals — so they
+  /// are byte-identical across process backends and worker counts.
   struct MemoryStats {
     std::size_t procSlabBytes = 0;       ///< ranks x sizeof(Proc)
     std::size_t requestSlots = 0;        ///< pool high-water slot count
     std::size_t requestPoolBytes = 0;    ///< slots x sizeof(RequestState)
     /// Eager payload snapshots only (sends the sender completed, or was
-    /// killed during, before the receive consumed them); a payload read
-    /// straight from the sender's buffer never touches an arena.
-    std::size_t payloadArenaBytes = 0;   ///< sum of per-rank arena capacity
-    std::size_t payloadArenaPeakBytes = 0;  ///< sum of per-rank arena peaks
+    /// killed during, before the receive consumed them), in exact bytes;
+    /// a payload read straight from the sender's buffer is never copied.
+    std::size_t payloadArenaBytes = 0;   ///< sum of per-rank live bytes
+    std::size_t payloadArenaPeakBytes = 0;  ///< sum of per-rank peaks
     std::size_t matchQueueBytes = 0;     ///< posted+unexpected backing stores
     std::size_t matchQueuePeakEntries = 0;  ///< sum of per-queue peak depths
     std::size_t channelCount = 0;
@@ -328,12 +331,12 @@ class Runtime {
   void completeEagerRecv(Proc& dst, Request req, Proc::UnexpectedMsg msg);
   /// Copies an eager payload into `out` and frees its slot.  A stale
   /// handle copies nothing; an orphaned payload throws.
-  void consumeEager(Proc& dst, const Proc::UnexpectedMsg& msg, Bytes out);
-  /// Frees an eager payload's slot (and its arena block) unread.
+  void consumeEager(const Proc::UnexpectedMsg& msg, Bytes out);
+  /// Frees an eager payload's slot (and its snapshot) unread.
   void dropEager(EagerRef h);
-  /// Copies a send's payload out of the sender's buffer into the
-  /// destination's arena, if a receive has not consumed it yet: called
-  /// whenever the sender may next touch its buffer.
+  /// Copies a send's payload out of the sender's buffer into its slot's
+  /// snapshot, if a receive has not consumed it yet: called whenever the
+  /// sender may next touch its buffer.
   void snapshotEager(RequestState& send);
   void startRendezvousTransfer(Proc& dst, Request req, Proc::UnexpectedMsg msg);
   static bool matches(const RequestState& r, const Proc::UnexpectedMsg& m);
@@ -368,6 +371,10 @@ class Runtime {
   Job& startJob(const std::string& appName, const std::vector<int>& nodes,
                 int procsPerNode, int threadsPerProc, sim::SimTime startDelay,
                 Comm parent, int allocationId);
+  /// Reclaims everything a rank pinned and, for its job's last rank,
+  /// releases the allocation and fires the drain hook.  Runs once per
+  /// rank: from its body's guard, or from killJob if the body never ran.
+  void drainProc(Proc& self);
   /// Implements the root side of MPI_Comm_spawn (called from Env).
   Comm spawnJob(Proc& root, Comm over, const std::string& appName, int nprocs,
                 const SpawnOptions& opts);

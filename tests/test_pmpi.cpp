@@ -645,6 +645,43 @@ TEST(Pmpi, SpawnReleasesNodesWhenChildExits) {
   EXPECT_EQ(w.rm.freeCount(hw::NodeKind::Cluster), 4);
 }
 
+TEST(Pmpi, JobKilledBeforeItStartsDrainsOnce) {
+  World w;
+  bool ran = false;
+  std::vector<int> drained;
+  w.rt.setJobDrainHook([&](int id) { drained.push_back(id); });
+  w.registry.add("app", [&](Env&) { ran = true; });
+  const int id = w.rt.launch("app", hw::NodeKind::Cluster, 2).id;
+  w.rt.killJob(id);
+  w.rt.killJob(id);  // already drained: a no-op
+  w.run();
+  EXPECT_FALSE(ran);
+  EXPECT_TRUE(w.rt.jobDone(id));
+  EXPECT_EQ(drained, (std::vector<int>{id}));
+  EXPECT_EQ(w.rm.freeCount(hw::NodeKind::Cluster), 4);
+}
+
+TEST(Pmpi, SpawnedJobKilledDuringTheSpawnDelayDrains) {
+  World w;
+  bool childRan = false;
+  std::vector<int> drained;
+  w.rt.setJobDrainHook([&](int id) { drained.push_back(id); });
+  w.registry.add("p", [&](Env& e) {
+    // Jobs are numbered in launch order: the parent is 0, the children 1.
+    // The children come up after 7 ms; they are killed at 1 ms.
+    w.engine.schedule(1_ms, [&w] { w.rt.killJob(1); });
+    e.commSpawn("c", 4);
+  });
+  w.registry.add("c", [&](Env&) { childRan = true; });
+  w.rt.launch("p", hw::NodeKind::Cluster, 1);
+  w.run();
+  EXPECT_FALSE(childRan);
+  EXPECT_TRUE(w.rt.jobDone(1));
+  EXPECT_EQ(drained, (std::vector<int>{1, 0}));
+  EXPECT_EQ(w.rm.freeCount(hw::NodeKind::Booster), 4);
+  EXPECT_EQ(w.rm.freeCount(hw::NodeKind::Cluster), 4);
+}
+
 TEST(Pmpi, SpawnFailsWhenPartitionExhausted) {
   World w;
   w.registry.add("p", [&](Env& e) { e.commSpawn("c", 99); });
@@ -1091,6 +1128,38 @@ TEST(EagerDeferral, KilledRanksAndDeadReceiversLeaveNoSlotBehind) {
   // send to the exited parent carries no payload at all.
   EXPECT_EQ(w.rt.memoryStats().payloadArenaPeakBytes,
             64 * sizeof(std::uint64_t));
+}
+
+TEST(EagerDeferral, SnapshotPeakCountsExactLiveBytes) {
+  // Rank 0 holds snapshots of 512 B and 256 B at once, consumes the
+  // 512 B one, then gets a 128 B snapshot: at most 768 B were ever live.
+  World w;
+  w.registry.add("peak", [&](Env& e) {
+    const auto payload = [](std::size_t words) {
+      return std::vector<std::uint64_t>(words, words);
+    };
+    if (e.rank() == 0) {
+      e.computeDelay(1_ms);  // both first payloads wait unexpected
+      for (const auto& [tag, words] : {std::pair{1, 64}, {2, 32}, {3, 16}}) {
+        std::vector<std::uint64_t> got(static_cast<std::size_t>(words), 0);
+        e.recv(e.world(), 1, tag, std::span<std::uint64_t>(got));
+        EXPECT_EQ(got, payload(got.size()));
+        if (tag == 1) e.computeDelay(2_ms);  // the 128 B send lands meanwhile
+      }
+    } else {
+      for (const auto& [tag, words] : {std::pair{1, 64}, {2, 32}, {3, 16}}) {
+        if (tag == 3) e.computeDelay(2_ms);  // after the 512 B receive
+        const std::vector<std::uint64_t> buf =
+            payload(static_cast<std::size_t>(words));
+        e.send(e.world(), 0, tag, std::span<const std::uint64_t>(buf));
+      }
+    }
+  });
+  w.rt.launch("peak", hw::NodeKind::Cluster, 2);
+  w.run();
+  EXPECT_EQ(w.rt.memoryStats().payloadArenaPeakBytes, 768u);
+  EXPECT_EQ(w.rt.memoryStats().payloadArenaBytes, 0u);
+  EXPECT_EQ(w.rt.eagerPayloadsInFlight(), 0u);
 }
 
 TEST(EagerDeferral, DeliveringAnUnfinishedIsendOfAnExitedRankThrows) {
